@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,23 @@ class TestCertify:
         assert r.status == "NOT_FOUND"
         assert r.certificate is None
         assert r.stage in ("sdp_solve", "verify_psd")
+
+    @pytest.mark.parametrize("name,c,sha", [
+        ("P3", C87, "1e510a88601ff6f083f23ea203cb0888fa1fa95ef1b6b2f4d987c2c0f88e9ebe"),
+        ("P4", C87, "ac68b6a0c57b2d53eeaac4c42f7025ef119038f9cd04eb4f66c0bc684376ebd0"),
+        ("H5", C87, "077683f3255e3e6ac159d686699f287dfc10d65cf8740bf9f274973a0f6bd573"),
+        ("H6", C87, "cbef8f2570b723a30829a4132284fb3a0f3b496f1f84f5c62ceb754285957643"),
+        ("H5", Fraction(6, 5), "7a15a97ecaeb2920d6957e2f050be6233ac810bd9e103590c6e2856d3fca063a"),
+        ("H5", Fraction(23, 20), "fcd3113176e250441a34ebe61e9cb1bfa26ae151578ed20cf8472f58bda8ae9b"),
+        ("H6", Fraction(23, 20), "0a139772277bab92156a4b3afa68dce387a0770994a29a1c85fd276c724c9109"),
+    ])
+    def test_certificate_bytes_pinned(self, name, c, sha):
+        # solver changes must not move the rounded point: the emitted file
+        # is what `ssc verify` users re-check and compare
+        r = ct.certify(ct.cert_base(name), c)
+        assert r.status == "FOUND"
+        text = ct.format_certificate(r.certificate)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_denominator_ladder_small_first(self):
         ladder = ct._denominator_ladder(10 ** 4, 4 * 10 ** 4)
