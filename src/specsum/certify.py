@@ -24,9 +24,10 @@ verifies PSD by exact LDL^T.
 
 Any certificate here is necessarily singular: at extremal unit x* (where
 lambda1 + lambda2 attains c) the top wedge vector w of psi(M*(x*)) gives
-w^T (cI - psi) w = 0, forcing Q V(x*) w = 0. Strict feasibility margins can
-therefore only be a transient heuristic, and rounding must land exactly on
-the feasible face — which is why small denominators are tried first.
+w^T (cI - psi) w = 0, forcing Q V(x*) w = 0. No strictly feasible point
+exists, so the solver clips at the cone boundary itself, and rounding must
+land exactly on the feasible face — which is why small denominators are
+tried first.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class SolveResult:
 
 
 def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
-              seed: int = 0, margin: float = 1e-6, omega: float = 1.0) -> SolveResult:
+              omega: float = 1.0) -> SolveResult:
     """Projection splitting between the coefficient equations and the PSD
     cone, in the reflect-reflect-average (Douglas-Rachford / ADMM) form:
 
@@ -182,21 +183,15 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
     non-transversal (every certificate is singular, see module docstring),
     where averaged reflections keep their linear rate. Both projections are
     the closed forms above: blockwise averaging for the affine set,
-    eigen-clip for the cone. A first phase clips at `margin` (aiming for
-    strictly feasible points); since the tight bound forces singularity the
-    clip falls back to 0 after a bounded number of iterations. Terminates
-    when the affine shadow Qa has both residuals (affine max-norm violation,
-    most negative eigenvalue) below tol; Qa is returned symmetrized.
-    Deterministic: starts from Q = 0 (seed accepted for interface parity and
-    reproducibility bookkeeping; the default path draws nothing).
+    eigen-clip at 0 for the cone. Terminates when the affine shadow Qa has
+    both residuals (affine max-norm violation, most negative eigenvalue)
+    below tol; Qa is returned symmetrized. Deterministic: starts from Q = 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not (0 < omega <= 2):
         raise ValueError("omega must be in (0, 2]")
-    del seed  # deterministic start; nothing random to seed
     Q = np.zeros((p.dim, p.dim))
-    margin_budget = min(2000, max(1, max_iter // 5)) if margin > 0 else 0
     aff = psd = np.inf
     Qa = Q
     for it in range(1, max_iter + 1):
@@ -207,10 +202,9 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
         if psd <= tol and aff <= tol:
             T = float(p.c) * np.eye(p.m) - _block(Qa, p.m, 0, 0)
             return SolveResult("CONVERGED", Qa, (T + T.T) / 2, it, aff, psd)
-        eps = margin if it <= margin_budget else 0.0
         R = 2 * Qa - Q
         w, V = np.linalg.eigh((R + R.T) / 2)
-        Rp = (V * np.maximum(w, eps)) @ V.T
+        Rp = (V * np.maximum(w, 0.0)) @ V.T
         Q = Q + omega * ((Rp + Rp.T) / 2 - Qa)
     T = float(p.c) * np.eye(p.m) - _block(Qa, p.m, 0, 0)
     return SolveResult("NOT_FOUND", Qa, (T + T.T) / 2, max_iter, aff, psd)
@@ -230,8 +224,7 @@ def _freeze(M: QMatrix) -> tuple:
     return tuple(tuple(row) for row in M)
 
 
-def rationalize(p: SosProblem, Q_num: np.ndarray, T_num: np.ndarray = None,
-                max_den: int = 10 ** 4) -> Certificate:
+def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int = 10 ** 4) -> Certificate:
     """Round the free parameters to denominators <= max_den and reconstruct
     every dependent entry exactly from the coefficient equations.
 
@@ -239,9 +232,8 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, T_num: np.ndarray = None,
     Q_0i, skew parts of Q_ij (i < j). Dependent: Q_ii = R_i - Q_00,
     sym(Q_ij) = F_ij, T = c*I - Q_00. The output therefore satisfies the
     polynomial identity over Q regardless of rounding quality; only PSD can
-    fail. T_num is unused (T is dependent); accepted for pipeline parity.
+    fail.
     """
-    del T_num
     k, m = p.k, p.m
     Qs = (np.asarray(Q_num, dtype=float) + np.asarray(Q_num, dtype=float).T) / 2
 
@@ -297,15 +289,21 @@ class IdentityReport:
 
 
 def verify_identity(cert: Certificate, base: CandidateGraph = None,
-                    max_report: int = 20) -> IdentityReport:
+                    max_report: int = 20, problem: SosProblem = None) -> IdentityReport:
     """Exact coefficientwise comparison of both sides of the identity.
 
     Expands V(x)^T Q V(x) + (1-|x|^2) T and c*I - psi(M*(x)) as quadratic
     matrix polynomials and compares the constant, x_i, x_i^2 and x_i x_j
     coefficients over the rationals. Also checks exact symmetry of Q and T.
+    The right-hand sides come from `problem` when given (it must be for the
+    certificate's base and bound), else from assembling base at cert.c.
     """
-    base = base or cert_base(cert.candidate)
-    p = assemble(base, cert.c)
+    if problem is None:
+        problem = assemble(base or cert_base(cert.candidate), cert.c)
+    elif (problem.candidate.name, problem.c) != (cert.candidate, cert.c):
+        raise ValueError(f"problem is for {problem.candidate.name} at {problem.c}, "
+                         f"certificate for {cert.candidate} at {cert.c}")
+    p = problem
     if cert.k != p.k or cert.m != p.m:
         return IdentityReport(False, (("dims", 0, 0, (cert.k, cert.m), (p.k, p.m)),), 0)
     Q, T = cert.Q, cert.T
@@ -390,10 +388,8 @@ def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
 class CertifyConfig:
     tol: float = 1e-9
     max_iter: int = 50000
-    seed: int = 0
     max_den: int = 10 ** 4
     max_den_cap: int = 8 * 10 ** 4
-    margin: float = 1e-6
     omega: float = 1.0
     solve_rounds: int = 2
     rationalize_residual: float = 1e-5  # attempt rounding even on NOT_FOUND below this
@@ -431,27 +427,29 @@ def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) ->
 
     Rounding retries walk the denominator ladder; if no rung verifies PSD,
     the SDP is re-solved with a tighter tolerance and the ladder retried.
-    The returned certificate always passes both exact checks.
+    Each rung is checked for PSD only: reconstruction makes every rung
+    satisfy the identity, so that is checked once, on the accepted rung, and
+    a violation raises ArithmeticError. The returned certificate always
+    passes both exact checks.
     """
     p = assemble(cand, c)
     attempts = []
     tol = config.tol
     solve = None
     for round_no in range(max(1, config.solve_rounds)):
-        solve = sdp_solve(p, tol=tol, max_iter=config.max_iter, seed=config.seed,
-                          margin=config.margin, omega=config.omega)
+        solve = sdp_solve(p, tol=tol, max_iter=config.max_iter, omega=config.omega)
         resid = max(solve.affine_residual, solve.psd_residual)
         if solve.status != "CONVERGED" and resid > config.rationalize_residual:
             tol /= 10
             continue
         for d in _denominator_ladder(config.max_den, config.max_den_cap):
-            cert = rationalize(p, solve.Q, solve.T, max_den=d)
-            idr = verify_identity(cert, base=cand)
-            if not idr.ok:  # reconstruction guarantees this; treat as fatal
-                raise ArithmeticError(f"reconstructed certificate broke identity: {idr.violations[:1]}")
+            cert = rationalize(p, solve.Q, max_den=d)
             wit = verify_psd(cert)
             attempts.append((d, wit.verdict))
             if wit.verdict == exactq.PSD:
+                idr = verify_identity(cert, problem=p)
+                if not idr.ok:  # reconstruction guarantees this; treat as fatal
+                    raise ArithmeticError(f"reconstructed certificate broke identity: {idr.violations[:1]}")
                 return CertifyResult("FOUND", cert, solve, tuple(attempts))
         tol /= 10
     stage = "sdp_solve" if (solve and solve.status != "CONVERGED" and not attempts) else "verify_psd"
@@ -487,7 +485,7 @@ def parse_certificate(text: str) -> Certificate:
     if len(head) != 3:
         raise ValueError("line 3: expected 'k m dimQ'")
     try:
-        k, m, dim = (int(t) for t in head)
+        k, m, dim = (exactq.parse_int(t) for t in head)
     except ValueError:
         raise ValueError("line 3: expected integers 'k m dimQ'")
     if dim != (k + 1) * m:

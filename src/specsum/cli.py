@@ -144,8 +144,7 @@ def cmd_certify(name: str, bound: str = "8/7", max_den: int = 10 ** 4,
     seed = _resolve_seed(seed)
     cand = certify_mod.cert_base(name)
     c = exactq.parse_rational(bound)
-    cfg = certify_mod.CertifyConfig(tol=tol, max_iter=max_iter, seed=seed,
-                                    max_den=max_den)
+    cfg = certify_mod.CertifyConfig(tol=tol, max_iter=max_iter, max_den=max_den)
     r = certify_mod.certify(cand, c, cfg)
     results = [("candidate", name), ("bound", exactq.format_rational(c)),
                ("status", r.status),

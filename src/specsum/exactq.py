@@ -170,6 +170,17 @@ MAX_EXPONENT = 500
 _RATIONAL = re.compile(
     r"([+-]?)(?:([0-9]+)/([0-9]+)"
     r"|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
+_INT = re.compile(r"[0-9]+")
+
+
+def parse_int(tok: str) -> int:
+    """Parse a header integer (a dimension or a size): `[0-9]+`, ASCII
+    digits only, at most MAX_LEN characters after stripping outer
+    whitespace. Anything else raises ValueError."""
+    tok = tok.strip()
+    if len(tok) > MAX_LEN or _INT.fullmatch(tok) is None:
+        raise ValueError(f"bad integer {tok[:20]!r}")
+    return int(tok)
 
 
 def parse_rational(tok: str) -> Fraction:
@@ -214,7 +225,7 @@ def read_matrix_q(text: str) -> QMatrix:
     if idx >= len(lines):
         raise ValueError("line 1: missing dimension")
     try:
-        k = int(lines[idx].strip())
+        k = parse_int(lines[idx])
     except ValueError:
         raise ValueError(f"line {idx + 1}: expected integer dimension")
     if k < 1:

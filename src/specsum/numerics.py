@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactq import parse_int
+
 EIG_TOL = 1e-10
 
 
@@ -119,30 +121,28 @@ def read_matrix(text: str) -> np.ndarray:
     if idx >= len(lines):
         raise ValueError("line 1: missing dimension")
     try:
-        k = int(lines[idx].strip())
+        k = parse_int(lines[idx])
     except ValueError:
         raise ValueError(f"line {idx + 1}: expected integer dimension, got {lines[idx].strip()!r}")
     if k < 1:
         raise ValueError(f"line {idx + 1}: dimension must be >= 1")
-    M = np.zeros((k, k))
-    row = 0
+    rows = []
     for ln_no in range(idx + 1, len(lines)):
         ln = lines[ln_no].strip()
         if not ln:
             continue
-        if row >= k:
+        if len(rows) >= k:
             raise ValueError(f"line {ln_no + 1}: more than {k} rows")
         toks = ln.split()
         if len(toks) != k:
             raise ValueError(f"line {ln_no + 1}: expected {k} entries, got {len(toks)}")
         try:
-            M[row] = [parse_number(t) for t in toks]
+            rows.append([parse_number(t) for t in toks])
         except ValueError as e:
             raise ValueError(f"line {ln_no + 1}: {e}")
-        row += 1
-    if row != k:
-        raise ValueError(f"expected {k} rows, got {row}")
-    return M
+    if len(rows) != k:
+        raise ValueError(f"expected {k} rows, got {len(rows)}")
+    return np.array(rows, dtype=float)
 
 
 def format_matrix(M: np.ndarray) -> str:

@@ -69,6 +69,9 @@ class TestSdpSolve:
         r = ct.sdp_solve(p3_problem, tol=1e-9)
         assert r.status == "CONVERGED"
         assert r.affine_residual <= 1e-9 and r.psd_residual <= 1e-9
+        # 97 with the eigen-clip at 0; a clip at a positive margin, which no
+        # point can meet at 8/7, ran to about 2000
+        assert r.iterations <= 200
 
     def test_infeasible_bound_stalls(self, p3_problem):
         # 9/8 < 8/7 = attained max, so no certificate exists
@@ -97,12 +100,12 @@ class TestRationalize:
         # garbage yields a (non-PSD) certificate satisfying the identity
         rng = np.random.default_rng(0)
         junk = rng.standard_normal((p3_problem.dim, p3_problem.dim))
-        cert = ct.rationalize(p3_problem, junk, None, max_den=97)
+        cert = ct.rationalize(p3_problem, junk, max_den=97)
         assert ct.verify_identity(cert).ok
 
     def test_trivial_base_exact(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
-        cert = ct.rationalize(p, np.zeros((3, 3)), None, max_den=10)
+        cert = ct.rationalize(p, np.zeros((3, 3)), max_den=10)
         assert all(x == 0 for row in cert.Q for x in row)
         assert cert.T == ((Fraction(1),),)
 
@@ -123,6 +126,11 @@ class TestVerifyIdentity:
         assert rep.violations  # names the violated coefficient
         assert any("sym(Q)" in v[0] or "x" in v[0] or v[0] == "1"
                    for v in rep.violations)
+
+    def test_problem_for_other_bound_refused(self, p3_result):
+        p = ct.assemble(ct.cert_base("P3"), Fraction(6, 5))
+        with pytest.raises(ValueError, match="problem is for"):
+            ct.verify_identity(p3_result.certificate, problem=p)
 
     def test_zero_q_cannot_match(self):
         p = ct.assemble(ct.cert_base("H6"), C87)
@@ -186,6 +194,7 @@ class TestCertify:
         ("H5", Fraction(6, 5), "7a15a97ecaeb2920d6957e2f050be6233ac810bd9e103590c6e2856d3fca063a"),
         ("H5", Fraction(23, 20), "fcd3113176e250441a34ebe61e9cb1bfa26ae151578ed20cf8472f58bda8ae9b"),
         ("H6", Fraction(23, 20), "0a139772277bab92156a4b3afa68dce387a0770994a29a1c85fd276c724c9109"),
+        ("H6", Fraction(6, 5), "69e80fc85ba7abb188afee4c715a2796871ec59907776546a84c835580d26365"),
     ])
     def test_certificate_bytes_pinned(self, name, c, sha):
         # solver changes must not move the rounded point: the emitted file
@@ -194,6 +203,35 @@ class TestCertify:
         assert r.status == "FOUND"
         text = ct.format_certificate(r.certificate)
         assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+    def test_identity_break_fails_closed(self, monkeypatch):
+        # the identity is checked only on the accepted rung; a PSD
+        # certificate that breaks it must still raise, not be returned
+        real = ct.rationalize
+
+        def broken(p, Q_num, max_den=10 ** 4):
+            cert = real(p, Q_num, max_den=max_den)
+            T = [list(row) for row in cert.T]
+            T[0][0] += 1
+            return ct.Certificate(cert.candidate, cert.c, cert.k, cert.m,
+                                  cert.Q, tuple(map(tuple, T)))
+
+        monkeypatch.setattr(ct, "rationalize", broken)
+        with pytest.raises(ArithmeticError, match="broke identity"):
+            ct.certify(ct.cert_base("P3"), C87)
+
+    def test_assembles_once(self, monkeypatch):
+        calls = []
+        real = ct.assemble
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ct, "assemble", counting)
+        r = ct.certify(ct.cert_base("P3"), C87)
+        assert r.status == "FOUND" and len(r.attempts) > 1
+        assert len(calls) == 1
 
     def test_denominator_ladder_small_first(self):
         ladder = ct._denominator_ladder(10 ** 4, 4 * 10 ** 4)

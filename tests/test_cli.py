@@ -176,6 +176,16 @@ class TestCertifyVerify:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    def test_verify_refuses_fullwidth_header(self, capsys, tmp_path):
+        # int() takes "３" (fullwidth three); header integers are ASCII only
+        f = tmp_path / "w.txt"
+        f.write_text("candidate K2\nbound 1/1\n2 1 \uff13\n"
+                     + "0/1 0/1 0/1\n" * 3 + "1/1\n")
+        assert cli.main(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3") and "Traceback" not in err
+
+
 class TestCompound:
     def test_exact_matrix(self, capsys, tmp_path):
         f = tmp_path / "m.txt"

@@ -188,3 +188,5 @@ class TestRationalIO:
             exactq.read_matrix_q("2\n1 2\n1/0 4\n")
         with pytest.raises(ValueError, match="expected 2 rows"):
             exactq.read_matrix_q("2\n1 2\n")
+        with pytest.raises(ValueError, match="line 1"):
+            exactq.read_matrix_q("\uff12\n1 0\n0 1\n")  # fullwidth two

@@ -136,6 +136,11 @@ class TestMatrixIO:
             numerics.read_matrix("2\n1 2\n3\n")
         with pytest.raises(ValueError, match="line 2"):
             numerics.read_matrix("2\n1 2 3\n4 5\n")
+        with pytest.raises(ValueError, match="line 1"):
+            numerics.read_matrix("\uff12\n1 0\n0 1\n")  # fullwidth two
+        # a huge dimension fails on the rows, before any allocation
+        with pytest.raises(ValueError, match="line 2"):
+            numerics.read_matrix("100000000\n1\n")
 
     def test_parse_number(self):
         assert numerics.parse_number("8/7") == 8 / 7
