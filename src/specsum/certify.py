@@ -288,18 +288,19 @@ class IdentityReport:
     checked: int
 
 
-def verify_identity(cert: Certificate, base: CandidateGraph = None,
-                    max_report: int = 20, problem: SosProblem = None) -> IdentityReport:
+def verify_identity(cert: Certificate, problem: SosProblem = None,
+                    max_report: int = 20) -> IdentityReport:
     """Exact coefficientwise comparison of both sides of the identity.
 
     Expands V(x)^T Q V(x) + (1-|x|^2) T and c*I - psi(M*(x)) as quadratic
     matrix polynomials and compares the constant, x_i, x_i^2 and x_i x_j
     coefficients over the rationals. Also checks exact symmetry of Q and T.
     The right-hand sides come from `problem` when given (it must be for the
-    certificate's base and bound), else from assembling base at cert.c.
+    certificate's base and bound), else from assembling the named base at
+    cert.c.
     """
     if problem is None:
-        problem = assemble(base or cert_base(cert.candidate), cert.c)
+        problem = assemble(cert_base(cert.candidate), cert.c)
     elif (problem.candidate.name, problem.c) != (cert.candidate, cert.c):
         raise ValueError(f"problem is for {problem.candidate.name} at {problem.c}, "
                          f"certificate for {cert.candidate} at {cert.c}")

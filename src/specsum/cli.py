@@ -175,12 +175,12 @@ def cmd_verify(path: str) -> RunReport:
     coefficient equations for the named base, compare over Q, then LDL^T."""
     t0 = time.perf_counter()
     cert = certify_mod.parse_certificate(_read_text(path))
-    base = certify_mod.cert_base(cert.candidate)  # unknown name -> usage error
+    certify_mod.cert_base(cert.candidate)  # unknown name -> usage error
     results = [("candidate", cert.candidate),
                ("bound", exactq.format_rational(cert.c)),
                ("k", str(cert.k)), ("m", str(cert.m)),
                ("dimQ", str(len(cert.Q)))]
-    idr = certify_mod.verify_identity(cert, base=base)
+    idr = certify_mod.verify_identity(cert)
     results.append(("identity", "PASS" if idr.ok else "FAIL"))
     for coeff, r, s, got, want in idr.violations[:5]:
         results.append(("identity_violation",

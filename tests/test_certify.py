@@ -197,8 +197,8 @@ class TestCertify:
         ("H6", Fraction(6, 5), "69e80fc85ba7abb188afee4c715a2796871ec59907776546a84c835580d26365"),
     ])
     def test_certificate_bytes_pinned(self, name, c, sha):
-        # solver changes must not move the rounded point: the emitted file
-        # is what `ssc verify` users re-check and compare
+        # the emitted file is what `ssc verify` users re-check and compare,
+        # so a solver change that moves the rounded point must show up here
         r = ct.certify(ct.cert_base(name), c)
         assert r.status == "FOUND"
         text = ct.format_certificate(r.certificate)
