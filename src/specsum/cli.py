@@ -76,16 +76,16 @@ def cmd_spectrum(path: str) -> RunReport:
                      time.perf_counter() - t0)
 
 
-def cmd_search(n: int, mode: str, threads: int = 1) -> RunReport:
+def cmd_search(n: int, mode: str) -> RunReport:
     t0 = time.perf_counter()
-    G, val = graphs.search_extremal(n, mode, threads=threads)
+    G, val = graphs.search_extremal(n, mode)
     A = G.adjacency()
     degs = sorted((int(d) for d in A.sum(axis=1)), reverse=True)
     edges = " ".join(f"{i}-{j}" for i, j in sorted(G.edges))
     results = (("n", str(n)), ("mode", mode), ("value", _f(val)),
                ("edge_count", str(len(G.edges))), ("edges", edges or "none"),
                ("degree_sequence", " ".join(map(str, degs))))
-    return RunReport("search", (("threads", str(threads)),), results,
+    return RunReport("search", (), results,
                      time.perf_counter() - t0, human=graphs.format_graph(G))
 
 
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(run=lambda a: cmd_spectrum(a.file))
 
-    p = sub.add_parser("search", help="exhaustive labeled-graph extremal search")
+    p = sub.add_parser("search", help="exhaustive extremal search over graphs")
     p.add_argument("n", type=int)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--max", dest="mode", action="store_const",
@@ -247,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--min-connected", dest="mode", action="store_const",
                    const=graphs.MIN_CONNECTED,
                    help="minimize over connected graphs")
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(run=lambda a: cmd_search(a.n, a.mode, threads=a.threads))
+    p.set_defaults(run=lambda a: cmd_search(a.n, a.mode))
 
     p = sub.add_parser("optimize", help="maximize sigma over simplex weights")
     p.add_argument("candidate", choices=sorted(stepmodel.CANDIDATES))

@@ -1,5 +1,5 @@
 """Graphs with optional loops: spectral sums, blowups, the K(n,p,q) family,
-and exhaustive extremal search over all labeled graphs on small orders.
+and exhaustive extremal search over graphs on small orders.
 
 Vertices are labeled 1..n. Edges are unordered pairs {i,j}; i = j is a loop
 (adjacency diagonal 1). Only base graphs carry loops; blowups reject them.
@@ -142,79 +142,76 @@ def mask_to_graph(n: int, mask: int) -> Graph:
     return graph(n, (pairs[b] for b in range(len(pairs)) if mask >> b & 1))
 
 
-def _connected_mask(n: int, mask: int, pairs) -> bool:
-    # union-find over the edges selected by the bitmask
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b, (i, j) in enumerate(pairs):
-        if mask >> b & 1:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    root = find(1)
-    return all(find(v) == root for v in range(2, n + 1))
+def _incidence(n: int) -> list[int]:
+    """Per vertex, the edge mask of the pairs that contain it."""
+    pairs = _pairs(n)
+    return [sum(1 << b for b, e in enumerate(pairs) if v in e)
+            for v in range(1, n + 1)]
 
 
-def _batch_eigenvalues(n: int, masks: np.ndarray, pairs) -> np.ndarray:
+def _degree_ordered(masks: np.ndarray, inc: list[int]) -> np.ndarray:
+    """Which masks label their graph so that deg(1) >= deg(2) >= ... >= deg(n),
+    given inc = _incidence(n)."""
+    deg = np.stack([np.bitwise_count(masks & m) for m in inc], axis=1)
+    return np.all(deg[:, :-1] >= deg[:, 1:], axis=1)
+
+
+def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
+    iu, ju = np.triu_indices(n, 1)  # the same lexicographic order as _pairs
+    bits = (masks[:, None] >> np.arange(iu.size)) & 1
     A = np.zeros((masks.size, n, n))
-    for b, (i, j) in enumerate(pairs):
-        on = (masks >> b & 1).astype(bool)
-        A[on, i - 1, j - 1] = 1.0
-        A[on, j - 1, i - 1] = 1.0
-    return np.linalg.eigvalsh(A)
+    A[:, iu, ju] = bits
+    A[:, ju, iu] = bits
+    return A
 
 
-def search_extremal(n: int, mode: str, threads: int = 1,
-                    batch: int = 4096) -> tuple[Graph, float]:
-    """Exhaustive scan of all 2^C(n,2) labeled loop-free graphs on n vertices.
+def _connected_stack(A: np.ndarray) -> np.ndarray:
+    # R holds walks of length <= 2^k after k squarings of I + A; every
+    # vertex lies within n - 1 steps of vertex 1 exactly when G is connected
+    n = A.shape[-1]
+    R = A + np.eye(n)
+    for _ in range((n - 2).bit_length()):
+        R = np.minimum(R @ R, 1.0)
+    return np.all(R[:, 0, :] > 0, axis=1)
 
-    MAX: maximize lambda1 + lambda2 over all graphs. MIN_CONNECTED: minimize
-    over connected graphs only. Ties broken by the lexicographically
-    smallest edge bitmask (bit b of the mask is pair b in lexicographic
-    order (1,2),(1,3),...). The eigenvalue pass runs in fixed-size batches,
-    which keeps the scan deterministic; `threads` partitions batches but the
-    reduction rule makes the result independent of it.
+
+def search_extremal(n: int, mode: str, batch: int = 4096) -> tuple[Graph, float]:
+    """Exhaustive extremal search over loop-free graphs on n vertices.
+
+    MAX: maximize lambda1 + lambda2. MIN_CONNECTED: minimize it over
+    connected graphs. Bit b of an edge mask is pair b in lexicographic
+    order (1,2),(1,3),...; the scan walks every mask in increasing order,
+    in fixed-size batches, but eigensolves only the labelings whose degrees
+    do not increase, deg(1) >= deg(2) >= ... >= deg(n). Relabeling changes
+    neither lambda1 + lambda2 nor connectivity, and sorting the vertices by
+    degree gives every graph such a labeling, so the extremum over these
+    labelings is the extremum over all graphs. Ties go to the first such
+    mask in increasing order whose float lambda1 + lambda2 is largest
+    (smallest when minimizing).
     """
     if not (2 <= n <= 8):
         raise ValueError("exhaustive search supports 2 <= n <= 8")
     if mode not in (MAX, MIN_CONNECTED):
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = _pairs(n)
-    total = 1 << len(pairs)
+    total = 1 << (n * (n - 1) // 2)
+    inc = _incidence(n)
     sign = 1.0 if mode == MAX else -1.0
-
-    def scan(start: int):
-        masks = np.arange(start, min(start + batch, total), dtype=np.int64)
-        if mode == MIN_CONNECTED:
-            keep = np.fromiter((_connected_mask(n, int(mk), pairs) for mk in masks),
-                               dtype=bool, count=masks.size)
-            masks = masks[keep]
-            if masks.size == 0:
-                return (-np.inf, -1)
-        w = _batch_eigenvalues(n, masks, pairs)
-        sums = sign * (w[:, -1] + w[:, -2])
-        i = int(np.argmax(sums))
-        return (float(sums[i]), int(masks[i]))
-
-    starts = range(0, total, batch)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            locals_ = list(pool.map(scan, starts))
-    else:
-        locals_ = [scan(s) for s in starts]
-    # per-batch results are independent of the thread count; fold them in
-    # mask order so ties keep the lexicographically smallest bitmask
     best_val, best_mask = -np.inf, -1
-    for val, mask in locals_:
-        if val > best_val:
-            best_val, best_mask = val, mask
+    for start in range(0, total, batch):
+        masks = np.arange(start, min(start + batch, total), dtype=np.int64)
+        masks = masks[_degree_ordered(masks, inc)]
+        A = _adjacency_stack(n, masks)
+        if mode == MIN_CONNECTED:
+            keep = _connected_stack(A)
+            masks, A = masks[keep], A[keep]
+        if masks.size == 0:
+            continue
+        w = np.linalg.eigvalsh(A)
+        sums = sign * (w[:, -1] + w[:, -2])
+        # argmax keeps the first of equal values; batches fold in mask order
+        i = int(np.argmax(sums))
+        if sums[i] > best_val:
+            best_val, best_mask = float(sums[i]), int(masks[i])
     if best_mask < 0:
         raise ValueError("no graph satisfied the filter")
     return mask_to_graph(n, best_mask), sign * best_val

@@ -133,7 +133,7 @@ class TestAcceptance:
         ok = True
         notes = []
         for n in range(2, 8):
-            G, val = graphs.search_extremal(n, graphs.MAX, threads=1)
+            G, val = graphs.search_extremal(n, graphs.MAX)
             ok &= val <= 8 * n / 7 + 1e-12
             notes.append(f"n={n}:{val:.6f}<=8n/7={8 * n / 7:.6f}")
             if n >= 5:

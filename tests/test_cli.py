@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import specsum
 from specsum import cli, graphs
 from oracles import K722_SUM, PATH4_SUM
 
@@ -84,6 +88,18 @@ class TestSearch:
         with pytest.raises(SystemExit) as e:
             cli.main(["search", "4"])
         assert e.value.code == 2
+
+    def test_module_entry_point_warns_nothing(self):
+        # `python -m specsum.cli` must not find the module imported already
+        src = os.path.dirname(os.path.dirname(specsum.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "specsum.cli",
+                               "search", "4", "--max"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "value: " in proc.stdout
 
 
 class TestOptimize:

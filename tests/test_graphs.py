@@ -1,10 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import graphs
-from oracles import MAX_SUM, PATH4_SUM, K722_SUM, brute_force_extremal, path_spectrum
+from oracles import (MAX_SUM, PATH4_SUM, K722_SUM, _connected, brute_force_extremal,
+                     path_spectrum)
 
 
 def path(n):
@@ -157,16 +161,80 @@ class TestSearchExtremal:
             want_val, _ = brute_force_extremal(n, connected_only=True, maximize=False)
             assert abs(val - want_val) < 1e-12
             # result must itself be connected
-            assert graphs._connected_mask is not None
+            assert _connected(G.adjacency())
+
+    @pytest.mark.parametrize("mode", [graphs.MAX, graphs.MIN_CONNECTED])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_labeled_scan(self, n, mode):
+        connected = mode == graphs.MIN_CONNECTED
+        want, _ = brute_force_extremal(n, connected_only=connected,
+                                       maximize=not connected)
+        G, val = graphs.search_extremal(n, mode)
+        assert abs(val - want) < 1e-12
+        assert abs(graphs.spectral_sum(G).spectral_sum - want) < 1e-12
+        assert _connected(G.adjacency()) or not connected
 
     def test_returned_graph_attains_value(self):
         G, val = graphs.search_extremal(5, graphs.MAX)
         assert abs(graphs.spectral_sum(G).spectral_sum - val) < 1e-12
 
-    def test_thread_count_does_not_change_result(self):
-        g1, v1 = graphs.search_extremal(5, graphs.MAX, threads=1)
-        g2, v2 = graphs.search_extremal(5, graphs.MAX, threads=3)
+    def test_repeat_calls_bit_identical(self):
+        g1, v1 = graphs.search_extremal(5, graphs.MAX)
+        g2, v2 = graphs.search_extremal(5, graphs.MAX)
         assert v1 == v2 and g1.edges == g2.edges
+
+    def test_ties_go_to_the_first_degree_ordered_mask(self):
+        # K(6,2,2) has three degree-ordered labelings; across batches the
+        # search must return the first one that attains the largest sum
+        n = 6
+        masks = np.arange(1 << 15)
+        masks = masks[graphs._degree_ordered(masks, graphs._incidence(n))]
+        w = np.linalg.eigvalsh(graphs._adjacency_stack(n, masks))
+        sums = w[:, -1] + w[:, -2]
+        G, val = graphs.search_extremal(n, graphs.MAX)
+        assert val == sums.max()
+        assert G == graphs.mask_to_graph(n, int(masks[np.argmax(sums)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 8))
+    def test_connectivity_matches_bfs(self, seed, n):
+        # the path 1-2-...-n puts vertex n at the largest distance, n - 1
+        rng = np.random.default_rng(seed)
+        A = np.zeros((8, n, n))
+        A[0] = path(n).adjacency()
+        for k in range(1, 8):
+            U = np.triu(rng.random((n, n)) < k / 10, 1)
+            A[k] = U + U.T
+        got = graphs._connected_stack(A)
+        assert got.tolist() == [_connected(a) for a in A]
+
+    def test_n7_min_connected_is_star(self):
+        G, val = graphs.search_extremal(7, graphs.MIN_CONNECTED)
+        degs = sorted((int(d) for d in G.adjacency().sum(axis=1)), reverse=True)
+        assert abs(val - math.sqrt(6)) < 1e-12
+        assert degs == [6, 1, 1, 1, 1, 1, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(5, 8))
+    def test_degree_filter_keeps_a_sorted_relabeling(self, seed, n):
+        # relabel by non-increasing degree: the filter must keep the new
+        # mask, and the spectral sum must not move
+        G = random_graph(seed, n)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        inc = graphs._incidence(n)
+
+        def mask(H):
+            return sum(1 << b for b, e in enumerate(pairs) if e in H.edges)
+
+        deg = G.adjacency().sum(axis=1)
+        order = sorted(range(1, n + 1), key=lambda v: -deg[v - 1])
+        new = {v: k for k, v in enumerate(order, start=1)}
+        H = graphs.graph(n, [(new[i], new[j]) for i, j in G.edges])
+        kept = graphs._degree_ordered(np.array([mask(G), mask(H)]), inc)
+        assert kept[0] == bool(np.all(np.diff(deg) <= 0))
+        assert kept[1]
+        assert abs(graphs.spectral_sum(H).spectral_sum
+                   - graphs.spectral_sum(G).spectral_sum) < 1e-12
 
     def test_bounds_and_mode_validated(self):
         with pytest.raises(ValueError):
@@ -190,3 +258,4 @@ class TestGraphIO:
             graphs.read_graph("2 1\n1 5\n")
         with pytest.raises(ValueError):
             graphs.read_graph("2 2\n1 2\n")  # header promises 2 edges
+
