@@ -149,38 +149,30 @@ class TestConjecturePq:
 
 class TestSearchExtremal:
     def test_max_matches_brute_force(self):
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             G, val = graphs.search_extremal(n, graphs.MAX)
-            assert abs(val - MAX_SUM[n]) < 1e-12
+            if n in MAX_SUM:
+                assert abs(val - MAX_SUM[n]) < 1e-12
             want_val, _ = brute_force_extremal(n, connected_only=False, maximize=True)
             assert abs(val - want_val) < 1e-12
+            assert abs(graphs.spectral_sum(G).spectral_sum - want_val) < 1e-12
 
     def test_min_connected_matches_brute_force(self):
-        for n in (3, 4):
+        for n in range(2, 7):
             G, val = graphs.search_extremal(n, graphs.MIN_CONNECTED)
             want_val, _ = brute_force_extremal(n, connected_only=True, maximize=False)
             assert abs(val - want_val) < 1e-12
+            assert abs(graphs.spectral_sum(G).spectral_sum - want_val) < 1e-12
             # result must itself be connected
             assert _connected(G.adjacency())
-
-    @pytest.mark.parametrize("mode", [graphs.MAX, graphs.MIN_CONNECTED])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_matches_labeled_scan(self, n, mode):
-        connected = mode == graphs.MIN_CONNECTED
-        want, _ = brute_force_extremal(n, connected_only=connected,
-                                       maximize=not connected)
-        G, val = graphs.search_extremal(n, mode)
-        assert abs(val - want) < 1e-12
-        assert abs(graphs.spectral_sum(G).spectral_sum - want) < 1e-12
-        assert _connected(G.adjacency()) or not connected
 
     def test_returned_graph_attains_value(self):
         G, val = graphs.search_extremal(5, graphs.MAX)
         assert abs(graphs.spectral_sum(G).spectral_sum - val) < 1e-12
 
     def test_repeat_calls_bit_identical(self):
-        g1, v1 = graphs.search_extremal(5, graphs.MAX)
-        g2, v2 = graphs.search_extremal(5, graphs.MAX)
+        g1, v1 = graphs.search_extremal(6, graphs.MAX)
+        g2, v2 = graphs.search_extremal(6, graphs.MAX)
         assert v1 == v2 and g1.edges == g2.edges
 
     def test_ties_go_to_the_first_degree_ordered_mask(self):
@@ -258,4 +250,3 @@ class TestGraphIO:
             graphs.read_graph("2 1\n1 5\n")
         with pytest.raises(ValueError):
             graphs.read_graph("2 2\n1 2\n")  # header promises 2 edges
-
