@@ -8,7 +8,7 @@ K(n,p,q) (join of a clique with two cliques) by degree sequence and
 spectrum, and reports the minimum over connected graphs next to it. Each
 search walks all 2^C(n,2) edge masks but eigensolves only the labelings
 whose degrees do not increase (graphs.search_extremal); n = 7 takes about
-0.2 s per mode, and --max-n 8 (2^28 masks) about 15 s for the maximum.
+0.2 s of CPU per mode, and n = 8 (2^28 masks) about 25 s per mode.
 """
 
 import argparse
