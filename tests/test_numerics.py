@@ -111,11 +111,24 @@ class TestProjectSimplex:
             w = rng.dirichlet(np.ones(n))
             assert np.dot(v - p, v - p) <= np.dot(v - w, v - w) + 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                      elements=st.floats(-10, 10, allow_nan=False)))
+    def test_stack_matches_rows(self, V):
+        P = numerics.project_simplex(V)
+        assert P.shape == V.shape
+        for row, p in zip(V, P):
+            assert np.array_equal(p, numerics.project_simplex(row))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             numerics.project_simplex(np.array([np.inf, 0.0]))
         with pytest.raises(ValueError):
             numerics.project_simplex(np.array([]))
+        with pytest.raises(ValueError):
+            numerics.project_simplex(np.array([[0.5, 0.5], [np.nan, 0.0]]))
+        with pytest.raises(ValueError):
+            numerics.project_simplex(np.zeros((2, 2, 2)))
 
 
 class TestMatrixIO:
