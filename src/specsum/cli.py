@@ -97,10 +97,7 @@ def _parse_weights(text: str, k: int) -> np.ndarray:
 
 
 def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
-                 threads: int = 1, weights: str | None = None) -> RunReport:
-    # threads accepted for interface symmetry; the optimizer is vectorized
-    # internally and runs single-process regardless. With --weights the
-    # model is evaluated at the given point instead of optimized.
+                 weights: str | None = None) -> RunReport:
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
     cand = stepmodel.candidate(name)
@@ -129,8 +126,7 @@ def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
         rows.append(f"{c.i}-{c.j:<4} {c.kappa:>22.15g} {str(c.adjacent):>9} "
                     f"{str(c.consistent):>11}")
     if weights is None:
-        cfg = (("restarts", str(restarts)), ("seed", str(seed)),
-               ("threads", str(threads)))
+        cfg = (("restarts", str(restarts)), ("seed", str(seed)))
     else:
         cfg = (("weights", weights),)
     return RunReport("optimize", cfg, tuple(results),
@@ -253,13 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", choices=sorted(stepmodel.CANDIDATES))
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--weights", default=None, metavar="W1,W2,...",
                    help="evaluate at these weights (rationals or decimals) "
                         "instead of optimizing")
     p.set_defaults(run=lambda a: cmd_optimize(a.candidate, restarts=a.restarts,
-                                              seed=a.seed, threads=a.threads,
-                                              weights=a.weights))
+                                              seed=a.seed, weights=a.weights))
 
     p = sub.add_parser("certify", help="produce an exact SOS certificate")
     p.add_argument("candidate", choices=sorted(certify_mod.CERT_BASES))

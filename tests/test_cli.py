@@ -113,6 +113,14 @@ class TestOptimize:
         assert d["adjacency_criterion"] == "PASS"
         assert "pair_1_3" in d
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_p3_sigma_gate(self, capsys, seed):
+        # the benchmark's `ssc optimize P3 --restarts 40` check
+        code, out = run(capsys, "optimize", "P3", "--restarts", "40",
+                        "--seed", str(seed))
+        assert code == 0
+        assert abs(float(kv(out)["sigma"]) - 8 / 7) <= 1e-9
+
     def test_human_table(self, capsys):
         code, out = run(capsys, "--human", "optimize", "P3", "--restarts", "5")
         assert code == 0
