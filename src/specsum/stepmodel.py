@@ -18,6 +18,7 @@ embedded-path boundary points (e.g. H6 at u = (2/7, 3/7, 0, 2/7, 0, 0)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,8 @@ class StepModel:
         u = np.asarray(self.u, dtype=float)
         if u.shape != (self.candidate.k,):
             raise ValueError(f"weight vector must have length {self.candidate.k}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("weights must be finite")
         if np.any(u < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(u.sum()) - 1.0) > SIMPLEX_TOL:
@@ -112,12 +115,6 @@ def sigma(model: StepModel) -> float:
     return float(w[0] + w[1])
 
 
-def _sigma_raw(A: np.ndarray, u: np.ndarray) -> float:
-    # extended objective for the optimizer: u need not sum to 1
-    w = np.linalg.eigvalsh(_weighted(A, np.maximum(u, 0.0)))
-    return float(w[-1] + w[-2])
-
-
 def _sigma_batch(A: np.ndarray, U: np.ndarray) -> np.ndarray:
     S = np.sqrt(np.maximum(U, 0.0))
     mats = A[None, :, :] * (S[:, None, :] * S[:, :, None])
@@ -126,65 +123,81 @@ def _sigma_batch(A: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def simplex_grid(k: int, mesh: int) -> np.ndarray:
-    """All points v/mesh with v a nonnegative integer k-composition of mesh."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], mesh, k)
-    return np.array(out, dtype=float) / mesh
+    """All points v/mesh, v a nonnegative integer k-composition of mesh, in
+    lexicographic order (stars and bars: k - 1 bars in mesh + k - 1 slots)."""
+    bars = np.array(list(itertools.combinations(range(mesh + k - 1), k - 1)))
+    cuts = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, mesh + k - 1))
+    return (np.diff(cuts, axis=1) - 1) / mesh
 
 
-def _ascend(A: np.ndarray, u0: np.ndarray, rng, h: float = 1e-6,
-            max_iter: int = 100) -> tuple[np.ndarray, float]:
-    """Projected finite-difference gradient ascent with Armijo halving."""
-    k = u0.size
-    u = numerics.project_simplex(u0)
-    val = _sigma_raw(A, u)
+def _sigma_grad(A: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of each row's M* and the gradient in u of
+    lambda1 + lambda2: d lambda/d u_i = v_i (A(s o v))_i / s_i, s = sqrt(u).
+    M v = lambda v gives v_i/s_i = (A(s o v))_i/lambda, so on a zero weight
+    the one-sided limit is (A(s o v))_i^2/lambda (0 when lambda <= 0).
+    """
+    S = np.sqrt(U)
+    w, V = np.linalg.eigh(A[None, :, :] * (S[:, None, :] * S[:, :, None]))
+    G = np.zeros_like(U)
+    for c in (-1, -2):
+        v = V[:, :, c]
+        r = (S * v) @ A
+        q = np.divide(v, S, out=np.zeros_like(v), where=S > 0)
+        np.divide(r, w[:, c, None], out=q, where=(S == 0) & (w[:, c, None] > 0))
+        G += r * q
+    return w, G
+
+
+def _ascend(A: np.ndarray, U0: np.ndarray, rng,
+            max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent from every row of U0 at once; a row stops
+    at a zero gradient or when no step down to 1e-12 passes Armijo."""
+    B, k = U0.shape
+    U = numerics.project_simplex(U0)
+    vals = _sigma_batch(A, U)
+    active = np.ones(B, dtype=bool)
     for _ in range(max_iter):
-        w = np.linalg.eigvalsh(_weighted(A, u))
-        if k >= 3 and abs(w[-2] - w[-3]) < 1e-9:
-            # nonsmooth point: lambda2 crossing; step off it instead of
-            # differentiating through the kink
-            u = numerics.project_simplex(u + 1e-7 * rng.standard_normal(k))
-            val = _sigma_raw(A, u)
-            continue
-        probes = np.repeat(u[None, :], k, axis=0) + h * np.eye(k)
-        g = (_sigma_batch(A, probes) - val) / h
-        g = g - g.mean()  # tangent of the simplex
-        gnorm2 = float(g @ g)
-        if gnorm2 < 1e-18:
+        live = np.flatnonzero(active)
+        if live.size == 0:
             break
+        w, G = _sigma_grad(A, U[live])
+        kink = w[:, -2] - w[:, -3] < 1e-9 if k >= 3 else np.zeros(live.size, bool)
+        if kink.any():
+            rows = live[kink]
+            U[rows] = numerics.project_simplex(
+                U[rows] + 1e-7 * rng.standard_normal((rows.size, k)))
+            vals[rows] = _sigma_batch(A, U[rows])
+        rows, G = live[~kink], G[~kink]
+        G -= G.mean(axis=1, keepdims=True)  # tangent of the simplex
+        gnorm2 = np.einsum("ij,ij->i", G, G)
+        flat = gnorm2 < 1e-18
+        active[rows[flat]] = False
+        rows, G, gnorm2 = rows[~flat], G[~flat], gnorm2[~flat]
         t = 0.5
-        improved = False
-        while t > 1e-12:
-            cand = numerics.project_simplex(u + t * g)
-            cval = _sigma_raw(A, cand)
-            if cval > val + 1e-4 * t * gnorm2:
-                u, val = cand, cval
-                improved = True
-                break
+        while t > 1e-12 and rows.size:
+            cand = numerics.project_simplex(U[rows] + t * G)
+            cvals = _sigma_batch(A, cand)
+            ok = cvals > vals[rows] + 1e-4 * t * gnorm2
+            U[rows[ok]], vals[rows[ok]] = cand[ok], cvals[ok]
+            rows, G, gnorm2 = rows[~ok], G[~ok], gnorm2[~ok]
             t /= 2.0
-        if not improved:
-            break
-    return u, val
+        active[rows] = False
+    return U, vals
 
 
 def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
                    seed: int = 0) -> tuple[np.ndarray, float]:
     """Best (u*, sigma*) from a deterministic 1/14 simplex grid plus
-    Dirichlet(1) restarts, each polished by projected ascent.
+    Dirichlet(1) restarts, polished by projected ascent.
 
     The grid contains the exact extremal weights (2/7 = 4/14, 3/7 = 6/14),
-    so the returned value is never below the best grid evaluation. Ascent
-    runs from every Dirichlet start and from the best grid points (the full
-    grid is evaluated, but only the top slice is polished; at k = 6 the
-    grid has ~12k points and polishing all of them buys nothing).
+    so the result is never below the best grid value. Ascent starts from
+    the 50 best grid points (at k = 6 the grid has ~12k) and every Dirichlet
+    point, all climbing as one stack: per iteration one stacked eigensolve,
+    the analytic gradient (one-sided on zero weights, see _sigma_grad) and
+    Armijo halving per row. A row at a lambda2 = lambda3 kink, where sigma
+    has no gradient, instead takes a small seeded random step. Equal values
+    go to the lexicographically smaller u.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -195,21 +208,16 @@ def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
     grid = simplex_grid(k, 14)
     grid_vals = _sigma_batch(A, grid)
 
-    best_u, best_val = None, -np.inf
-
-    def consider(u, val):
-        nonlocal best_u, best_val
-        if val > best_val or (val == best_val and tuple(u) < tuple(best_u)):
-            best_u, best_val = u.copy(), float(val)
-
+    # grid rows are in lexicographic order, so the stable sort ranks them
+    # by the tie-break below and order[0] is the best grid point
     order = np.argsort(-grid_vals, kind="stable")
-    for idx in order:
-        consider(grid[idx], grid_vals[idx])
-    starts = [grid[i] for i in order[:50]]
-    starts += list(rng.dirichlet(np.ones(k), size=restarts))
-    for u0 in starts:
-        u, val = _ascend(A, np.asarray(u0, dtype=float), rng)
-        consider(u, val)
+    starts = np.vstack([grid[order[:50]],
+                        rng.dirichlet(np.ones(k), size=restarts)])
+    U, vals = _ascend(A, starts, rng)
+    U = np.vstack([grid[order[0]], U])
+    vals = np.append(grid_vals[order[0]], vals)
+    i = np.lexsort((*U.T[::-1], -vals))[0]  # highest value, then smallest u
+    best_u, best_val = U[i], float(vals[i])
 
     # Optima routinely sit on a simplex face; the projection leaves
     # weights at roundoff scale (~1e-17) instead of exact zeros, which
@@ -285,14 +293,6 @@ def adjacency_criterion_check(model: StepModel, tol: float = 1e-8) -> list[PairC
 
 def true_twin_check(G: Graph) -> list[tuple[int, int]]:
     """Pairs of vertices with identical closed neighborhoods."""
-    closed = []
-    for v in range(1, G.n + 1):
-        nb = {v}
-        for i, j in G.edges:
-            if i == v:
-                nb.add(j)
-            elif j == v:
-                nb.add(i)
-        closed.append(nb)
+    closed = (G.adjacency() + np.eye(G.n)) > 0
     return [(i, j) for i in range(1, G.n + 1) for j in range(i + 1, G.n + 1)
-            if closed[i - 1] == closed[j - 1]]
+            if np.array_equal(closed[i - 1], closed[j - 1])]

@@ -117,3 +117,44 @@ def rational_matrix(rng, n: int, den: int = 7, lo: int = -3, hi: int = 3):
             v = Fraction(int(rng.integers(lo, hi + 1)), den)
             Q[i][j] = Q[j][i] = v
     return Q
+
+
+def fd_ascend(A: np.ndarray, u0: np.ndarray, rng, project, h: float = 1e-6,
+              max_iter: int = 100) -> tuple[np.ndarray, float]:
+    """One start of projected gradient ascent on lambda1 + lambda2 of
+    D_u^{1/2} A D_u^{1/2}, with forward-difference gradients (k extra
+    eigensolves per step), scalar Armijo halving and a random step off
+    lambda2 = lambda3 kinks. `project` maps a point onto the simplex.
+
+    The stacked analytic-gradient ascent in stepmodel is checked against it.
+    """
+    def sig(U):
+        S = np.sqrt(np.maximum(U, 0.0))
+        w = np.linalg.eigvalsh(A * (S[..., :, None] * S[..., None, :]))
+        return w[..., -1] + w[..., -2]
+
+    k = u0.size
+    u = project(u0)
+    val = float(sig(u))
+    for _ in range(max_iter):
+        w = np.linalg.eigvalsh(A * np.outer(np.sqrt(u), np.sqrt(u)))
+        if k >= 3 and abs(w[-2] - w[-3]) < 1e-9:
+            u = project(u + 1e-7 * rng.standard_normal(k))
+            val = float(sig(u))
+            continue
+        g = (sig(u[None, :] + h * np.eye(k)) - val) / h
+        g = g - g.mean()
+        gnorm2 = float(g @ g)
+        if gnorm2 < 1e-18:
+            break
+        t = 0.5
+        while t > 1e-12:
+            cand = project(u + t * g)
+            cval = float(sig(cand))
+            if cval > val + 1e-4 * t * gnorm2:
+                u, val = cand, cval
+                break
+            t /= 2.0
+        else:
+            break
+    return u, val

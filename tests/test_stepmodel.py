@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsum import graphs, stepmodel
+from specsum import graphs, numerics, stepmodel
 from oracles import (P3_ALPHA, P3_BETA, P3_KAPPA, P3_MU, P3_SIGMA_STAR,
-                     P3_SPECTRUM, P3_U_STAR, top_two_sum)
+                     P3_SPECTRUM, P3_U_STAR, fd_ascend, top_two_sum)
+
+CANDIDATE_NAMES = ("P3", "P4", "H5", "H6")
 
 
 def model(name, u):
@@ -54,6 +56,11 @@ class TestStepModelValidation:
             model("P3", [0.6, 0.6, -0.2])  # negative
         with pytest.raises(ValueError):
             model("P3", [0.5, 0.25, 0.125])  # sums to 7/8
+
+    def test_rejects_non_finite_weights(self):
+        for bad in ([np.nan, 0.5, 0.5], [0.5, np.inf, 0.5], [0.5, 0.5, -np.inf]):
+            with pytest.raises(ValueError):
+                model("P3", bad)
 
 
 class TestWeightedMatrixAndSigma:
@@ -110,6 +117,57 @@ class TestMaximizeSigma:
             _, val = stepmodel.maximize_sigma(stepmodel.candidate(name),
                                               restarts=20, seed=1)
             assert val <= P3_SIGMA_STAR + 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_sigma_gate(self, name, seed):
+        # the benchmark's check: sigma* = 8/7 at 200 restarts
+        _, val = stepmodel.maximize_sigma(stepmodel.candidate(name),
+                                          restarts=200, seed=seed)
+        assert abs(val - 8 / 7) <= 1e-9
+
+
+class TestStackedAscent:
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_gradient_matches_central_differences(self, name):
+        cand = stepmodel.candidate(name)
+        A, k, h = cand.graph.adjacency(), cand.k, 1e-6
+        U = np.random.default_rng(11).dirichlet(np.ones(k), size=60)
+        w, G = stepmodel._sigma_grad(A, U)
+        keep = (w[:, -2] - w[:, -3] > 1e-3) & (U.min(axis=1) > 1e-3)
+        assert keep.sum() >= 20  # interior points with a simple lambda2
+        E = h * np.eye(k)
+        fd = np.stack([(stepmodel._sigma_batch(A, U + E[i])
+                        - stepmodel._sigma_batch(A, U - E[i])) / (2 * h)
+                       for i in range(k)], axis=1)
+        err = np.abs(G - fd).max(axis=1) / np.abs(fd).max(axis=1)
+        assert err[keep].max() <= 1e-5
+
+    def test_gradient_on_zero_weight_is_one_sided_limit(self):
+        # P4 with block 1 empty: a forward difference into the face
+        cand = stepmodel.candidate("P4")
+        A, h = cand.graph.adjacency(), 1e-7
+        u = np.array([0.0, 0.3, 0.4, 0.3])
+        _, G = stepmodel._sigma_grad(A, u[None, :])
+        e1 = np.eye(4)[0]
+        fd = (stepmodel._sigma_batch(A, (u + h * e1)[None, :])[0]
+              - stepmodel._sigma_batch(A, u[None, :])[0]) / h
+        assert abs(G[0, 0] - fd) <= 1e-5 * abs(fd)
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_no_worse_than_scalar_oracle(self, name):
+        # same 200 Dirichlet starts, no grid
+        cand = stepmodel.candidate(name)
+        A = cand.graph.adjacency()
+        U0 = np.random.default_rng(7).dirichlet(np.ones(cand.k), size=200)
+        _, vals = stepmodel._ascend(A, U0, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        oracle = np.array([fd_ascend(A, u0, rng, numerics.project_simplex)[1]
+                           for u0 in U0])
+        assert vals.max() >= oracle.max() - 1e-5
+        assert vals.max() <= 8 / 7 + 1e-12
+        # each start climbs as far as the oracle's, on average
+        assert vals.mean() >= oracle.mean() - 1e-7
 
 
 class TestStepEigs:
