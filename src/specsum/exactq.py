@@ -31,15 +31,25 @@ class PsdWitness:
     counterexample: tuple[Fraction, ...] = ()
 
 
+_ZERO = Fraction(0)
+
+
+def _as_fraction(x) -> Fraction:
+    x = x if type(x) is Fraction else Fraction(x)
+    return x if x else _ZERO
+
+
 def as_qmatrix(rows: Sequence[Sequence]) -> QMatrix:
-    Q = [[Fraction(x) for x in row] for row in rows]
+    """Square symmetric matrix of Fractions; every zero entry is one shared
+    object, so comparing rows skips them by identity."""
+    Q = [[_as_fraction(x) for x in row] for row in rows]
     n = len(Q)
     if any(len(row) != n for row in Q):
         raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i):
-            if Q[i][j] != Q[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    for i, col in enumerate(zip(*Q)):
+        if Q[i][:i] != list(col[:i]):
+            j = next(j for j in range(i) if Q[i][j] != Q[j][i])
+            raise ValueError(f"matrix is not symmetric at ({i},{j})")
     return Q
 
 
@@ -68,19 +78,32 @@ def rational_approx(x: float, max_den: int) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
-    """Exact PSD check by symmetric elimination with diagonal pivoting.
+def components(Q: Sequence[Sequence]) -> list[list[int]]:
+    """Connected components of the nonzero pattern of a square matrix, each
+    sorted, in the order of their least index. Q is the direct sum of its
+    principal submatrices on them (up to a permutation)."""
+    n = len(Q)
+    seen = [False] * n
+    out = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [root], [root]
+        while stack:
+            for j, x in enumerate(Q[stack.pop()]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
 
-    Pivot = largest remaining diagonal entry. Each positive pivot d with
-    column c (c[pivot] = 1) contributes a rank-one term d*c*c^T that is
-    subtracted from the residual. Accept PSD only when the residual hits
-    exactly zero and the accumulated decomposition re-multiplies to Q.
 
-    A negative remaining diagonal, or a zero diagonal with a nonzero entry
-    in its row (indefinite 2x2 principal minor), yields a witness vector in
-    residual coordinates that is pulled back through the recorded columns.
-    """
-    Q = as_qmatrix(Q_in)
+def _eliminate(Q: QMatrix):
+    """Symmetric elimination with diagonal pivoting on a dense Q (see
+    ldl_psd_check). Returns (columns, pivots, None) when the residual hits
+    exactly zero, else (columns, pivots, z) with z^T Q z < 0 expected."""
     n = len(Q)
     S = [row[:] for row in Q]
     active = list(range(n))
@@ -88,7 +111,7 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     piv_vals: list[Fraction] = []
     piv_idx: list[int] = []
 
-    def pull_back(y: list[Fraction]) -> tuple[Fraction, ...]:
+    def pull_back(y: list[Fraction]) -> list[Fraction]:
         # find z with z^T Q z = y^T S y: z agrees with y on active indices,
         # corrections on eliminated ones kill every recorded column.
         z = y[:]
@@ -96,35 +119,28 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
             c = piv_cols[r]
             dot = sum((c[t] * z[t] for t in range(n) if z[t] != 0), Fraction(0))
             z[piv_idx[r]] -= dot
-        return tuple(z)
+        return z
 
-    def negative_witness(y: list[Fraction]) -> PsdWitness:
-        z = pull_back(y)
-        val = q_eval(Q, z)
-        assert val < 0
-        return PsdWitness(verdict=NOT_PSD, counterexample=z)
+    def unit(*entries) -> list[Fraction]:
+        y = [Fraction(0)] * n
+        for i, v in entries:
+            y[i] = Fraction(v)
+        return pull_back(y)
 
     while active:
         p = max(active, key=lambda i: S[i][i])
         d = S[p][p]
         if d < 0:
-            y = [Fraction(0)] * n
-            y[p] = Fraction(1)
-            return negative_witness(y)
+            return piv_cols, piv_vals, unit((p, 1))
         if d == 0:
             # every remaining diagonal is <= 0, hence exactly 0 here
             for i in active:
                 if S[i][i] < 0:
-                    y = [Fraction(0)] * n
-                    y[i] = Fraction(1)
-                    return negative_witness(y)
+                    return piv_cols, piv_vals, unit((i, 1))
                 for j in active:
                     if S[i][j] != 0:
                         # minor [[0, s],[s, S_jj]]: try z = e_i - sign(s) e_j
-                        y = [Fraction(0)] * n
-                        y[i] = Fraction(1)
-                        y[j] = Fraction(-1 if S[i][j] > 0 else 1)
-                        return negative_witness(y)
+                        return piv_cols, piv_vals, unit((i, 1), (j, -1 if S[i][j] > 0 else 1))
             break  # residual is exactly zero
         col = [Fraction(0)] * n
         for i in active:
@@ -141,10 +157,46 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
         piv_vals.append(d)
         piv_idx.append(p)
         active.remove(p)
+    return piv_cols, piv_vals, None
+
+
+def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
+    """Exact PSD check by symmetric elimination with diagonal pivoting, one
+    connected component of the nonzero pattern at a time.
+
+    Q is PSD iff each principal submatrix on a component is. Within one,
+    pivot = largest remaining diagonal entry. Each positive pivot d with
+    column c (c[pivot] = 1) contributes a rank-one term d*c*c^T that is
+    subtracted from the residual. Columns are zero-extended to all of Q's
+    indices. Accept PSD only when every residual hits exactly zero and the
+    accumulated decomposition re-multiplies to Q.
+
+    A negative remaining diagonal, or a zero diagonal with a nonzero entry
+    in its row (indefinite 2x2 principal minor), yields a witness vector in
+    residual coordinates that is pulled back through the recorded columns
+    and zero-extended; its quadratic form on Q must be negative.
+    """
+    Q = as_qmatrix(Q_in)
+    n = len(Q)
+    decomp = []
+    for comp in components(Q):
+        cols, vals, y = _eliminate([[Q[i][j] for j in comp] for i in comp])
+        if y is not None:
+            z = [_ZERO] * n
+            for i, yi in zip(comp, y):
+                z[i] = yi
+            if not q_eval(Q, z) < 0:
+                raise ArithmeticError("internal error: witness is not negative")
+            return PsdWitness(verdict=NOT_PSD, counterexample=tuple(z))
+        for c, d in zip(cols, vals):
+            full = [_ZERO] * n
+            for i, ci in zip(comp, c):
+                full[i] = ci
+            decomp.append((full, d))
 
     # re-multiply the decomposition and compare with Q exactly
-    R = [[Fraction(0)] * n for _ in range(n)]
-    for c, d in zip(piv_cols, piv_vals):
+    R = [[_ZERO] * n for _ in range(n)]
+    for c, d in decomp:
         support = [t for t in range(n) if c[t] != 0]
         for i in support:
             dci = d * c[i]
@@ -153,8 +205,7 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
                 Ri[j] += dci * c[j]
     if R != Q:
         raise ArithmeticError("internal error: decomposition does not re-multiply to Q")
-    decomp = tuple((tuple(c), d) for c, d in zip(piv_cols, piv_vals))
-    return PsdWitness(verdict=PSD, decomposition=decomp)
+    return PsdWitness(verdict=PSD, decomposition=tuple((tuple(c), d) for c, d in decomp))
 
 
 # --- rational rendering and the shared matrix format ---------------------

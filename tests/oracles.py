@@ -158,3 +158,53 @@ def fd_ascend(A: np.ndarray, u0: np.ndarray, rng, project, h: float = 1e-6,
         else:
             break
     return u, val
+
+
+def dense_ldl_psd_check(Q):
+    """Exact PSD check of a symmetric Fraction matrix by one dense symmetric
+    elimination over all of it (largest remaining diagonal as pivot), with
+    no split into components. Returns ("PSD", decomposition) with
+    decomposition [(column, pivot), ...] or ("NOT_PSD", z) with z^T Q z < 0.
+
+    The component-wise exactq.ldl_psd_check is checked against it.
+    """
+    n = len(Q)
+    S = [list(row) for row in Q]
+    active = list(range(n))
+    cols, vals, idx = [], [], []
+
+    def pull_back(y):
+        z = list(y)
+        for r in range(len(cols) - 1, -1, -1):
+            z[idx[r]] -= sum((cols[r][t] * z[t] for t in range(n)), Fraction(0))
+        return z
+
+    def unit(*entries):
+        y = [Fraction(0)] * n
+        for i, v in entries:
+            y[i] = Fraction(v)
+        return "NOT_PSD", pull_back(y)
+
+    while active:
+        p = max(active, key=lambda i: S[i][i])
+        d = S[p][p]
+        if d < 0:
+            return unit((p, 1))
+        if d == 0:
+            for i in active:
+                for j in active:
+                    if S[i][j] != 0:
+                        return unit((i, 1), (j, -1 if S[i][j] > 0 else 1))
+            break
+        col = [Fraction(0)] * n
+        for i in active:
+            col[i] = S[i][p] / d
+        for i in active:
+            for j in active:
+                S[i][j] -= d * col[i] * col[j]
+        cols.append(col)
+        vals.append(d)
+        idx.append(p)
+        active.remove(p)
+    return "PSD", list(zip(cols, vals))
+

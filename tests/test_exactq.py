@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import exactq
-from oracles import rational_matrix
+from oracles import dense_ldl_psd_check, rational_matrix
 
 
 def remultiply(decomp, n):
@@ -141,6 +141,60 @@ class TestLdlPsdCheck:
             w = exactq.ldl_psd_check(Q)
             assert w.verdict == exactq.NOT_PSD
             assert exactq.q_eval(Q, list(w.counterexample)) < 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=5),
+           st.integers(-1, 4))
+    def test_planted_blocks_match_dense_oracle(self, seed, shapes, broken):
+        # a direct sum of Gram blocks B^T B (B of `rank` rows, so some are
+        # singular), block `broken` with a diagonal entry drained below 0,
+        # under a random permutation
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for b, (size, rank) in enumerate(shapes):
+            B = [row[:size] for row in rational_matrix(rng, max(size, rank))[:rank]]
+            G = [[sum((B[r][i] * B[r][j] for r in range(rank)), Fraction(0))
+                  for j in range(size)] for i in range(size)]
+            if b == broken:
+                i = int(rng.integers(0, size))
+                G[i][i] -= G[i][i] + Fraction(1, 7)
+            blocks.append(G)
+        n = sum(len(G) for G in blocks)
+        perm = rng.permutation(n)
+        Q = [[Fraction(0)] * n for _ in range(n)]
+        at = 0
+        for G in blocks:
+            for i, row in enumerate(G):
+                for j, x in enumerate(row):
+                    Q[perm[at + i]][perm[at + j]] = x
+            at += len(G)
+
+        want, _ = dense_ldl_psd_check(Q)
+        assert want == (exactq.NOT_PSD if 0 <= broken < len(shapes) else exactq.PSD)
+        w = exactq.ldl_psd_check(Q)
+        assert w.verdict == want
+        if want == exactq.PSD:
+            assert remultiply(w.decomposition, n) == Q
+        else:
+            assert exactq.q_eval(Q, list(w.counterexample)) < 0
+
+    def test_components_of_nonzero_pattern(self):
+        Q = [[Fraction(int(c)) for c in row] for row in
+             ("10010", "01000", "00000", "10010", "00001")]
+        assert exactq.components(Q) == [[0, 3], [1], [2], [4]]
+        # a chain connects its ends through the middle
+        Q = [[Fraction(int(c)) for c in row] for row in ("100", "001", "011")]
+        assert exactq.components(Q) == [[0], [1, 2]]
+
+    def test_witness_lives_on_its_component(self):
+        I, Z = Fraction(1), Fraction(0)
+        Q = [[I, Z, Z, Z], [Z, I, Z, 2 * I], [Z, Z, I, Z], [Z, 2 * I, Z, I]]
+        w = exactq.ldl_psd_check(Q)
+        assert w.verdict == exactq.NOT_PSD
+        assert len(w.counterexample) == 4
+        assert w.counterexample[0] == w.counterexample[2] == 0
+        assert exactq.q_eval(Q, list(w.counterexample)) < 0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
