@@ -16,11 +16,28 @@ proves lambda1 + lambda2 of M*(x) <= c for every unit x. Writing Q in
 
 Eliminating T = c*I - Q_00 leaves free parameters: Q_00 (symmetric), the
 strict upper triangles of the skew blocks Q_0i, and the skew parts of Q_ij;
-everything else is affine in those. The pipeline solves the PSD feasibility
-problem by Douglas-Rachford projection splitting, rounds the free
-parameters to bounded-denominator rationals, reconstructs the dependent
+everything else is affine in those.
+
+Sign symmetry. Flipping x -> Dx, D diagonal +-1, maps M*(x) to D M*(x) D,
+and psi(DMD) = P psi(M) P with P diagonal +-1 on the wedge basis (sign
+d_i d_j at pair (i,j)). So if (Q, T) certifies, so does (GQG, PTP) with
+G = diag(1, D) (x) P, and so does the average over all 2^k sign patterns.
+Coordinate (a, (i,j)) of Q, a = 0..k, carries the character e_a + e_i + e_j
+of (Z/2)^k (e_0 = 0); the average is zero between coordinates of different
+characters. A certificate may therefore be taken block-diagonal by
+character, and the coefficient equations never couple two blocks
+(assemble checks this). Then Q_00, each Q_ii and T are diagonal and every
+Q_0i is zero. H6's 105 coordinates fall into 15 blocks of size 1, 20 of
+size 3 and 6 of size 5 (Gatermann and Parrilo, J. Pure Appl. Algebra 192,
+2004, for this reduction of SOS programs).
+
+The pipeline solves the PSD feasibility problem on the blocks by
+Douglas-Rachford projection splitting, rounds the free parameters inside
+the blocks to bounded-denominator rationals, reconstructs the dependent
 entries exactly (so the identity holds over Q by construction), and
-verifies PSD by exact LDL^T.
+verifies PSD by exact LDL^T. The exact checks do not rely on the blocks:
+the identity is compared entry by entry, and the LDL^T splits Q only into
+the connected components of its nonzero pattern.
 
 Any certificate here is necessarily singular: at extremal unit x* (where
 lambda1 + lambda2 attains c) the top wedge vector w of psi(M*(x*)) gives
@@ -66,6 +83,27 @@ def _adjacency_q(cand: CandidateGraph) -> QMatrix:
 
 
 @dataclass(frozen=True)
+class BlockLayout:
+    """Where the entries of the sign blocks sit, as index arrays.
+
+    The block entries (both triangles) are stored flat: blocks of one size
+    are contiguous, each block row-major. Entry e is Q[rows[e], cols[e]].
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    stacks: tuple  # (size, start, count): flat[start:start+count*size^2] holds count blocks
+    tr: np.ndarray  # entry of the transpose
+    diag: np.ndarray  # (k+1, m): entry ((a,r), (a,r)); no other entry of Q_aa is in a block
+    off: np.ndarray  # entries in Q_ab, a != b (both >= 1: Q_0i is off the blocks)
+    up: np.ndarray  # for each of off: the entry (a,r),(b,s) with a < b it equals by symmetry
+    swap: np.ndarray  # for each of off: the entry (a,s),(b,r) paired with up
+    F_up: np.ndarray  # F_ab[r, s] at up
+    R_diag: np.ndarray  # (k, m): diagonals of R_i
+    skew: tuple  # (t, u, t2, u2): the up entries with r < s and their pairs, as ints
+
+
+@dataclass(frozen=True)
 class SosProblem:
     candidate: CandidateGraph
     c: Fraction
@@ -75,12 +113,63 @@ class SosProblem:
     pairs: tuple
     R: tuple  # R_i = c*I - A_ii psi(E_ii), exact, i = 1..k
     F: dict  # F[(i,j)] = -A_ij psi(E_ij + E_ji)/2, exact, i < j
-    R_f: np.ndarray = field(repr=False, default=None)
-    F_f: dict = field(repr=False, default=None)
+    blocks: dict = field(repr=False)  # size -> (count, size) coordinates, see _sign_blocks
+    layout: BlockLayout = field(repr=False)
+
+
+def _sign_blocks(k: int, pairs) -> dict[int, np.ndarray]:
+    """Coordinates a*m + r of Q grouped by the character e_a + e_i + e_j of
+    (a, pairs[r] = (i, j)), e_0 = 0: {size: (count, size) index array}.
+    Coordinates ascend within a block; blocks of a size are in the order of
+    their first coordinate."""
+    groups: dict[int, list[int]] = {}
+    t = 0
+    for a in range(k + 1):
+        for i, j in pairs:
+            groups.setdefault((1 << a if a else 0) ^ (1 << i) ^ (1 << j), []).append(t)
+            t += 1
+    by_size: dict[int, list[list[int]]] = {}
+    for g in groups.values():
+        by_size.setdefault(len(g), []).append(g)
+    return {s: np.array(gs, dtype=np.intp) for s, gs in sorted(by_size.items())}
+
+
+def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray, F_f: dict) -> BlockLayout:
+    dim = (k + 1) * m
+    rows = np.concatenate([np.repeat(B, s, axis=1).ravel() for s, B in blocks.items()])
+    cols = np.concatenate([np.tile(B, (1, s)).ravel() for s, B in blocks.items()])
+    stacks, start = [], 0
+    for s, B in blocks.items():
+        stacks.append((s, start, len(B)))
+        start += len(B) * s * s
+    pos = np.full((dim, dim), -1, dtype=np.intp)
+    pos[rows, cols] = np.arange(rows.size)
+    a_r, a_c, r, s = rows // m, cols // m, rows % m, cols % m
+    off = np.flatnonzero(a_r != a_c)
+    up = np.where(a_r[off] < a_c[off], off, pos[cols[off], rows[off]])
+    swap = pos[a_r[up] * m + s[up], a_c[up] * m + r[up]]
+    F_dense = np.zeros((dim, dim))
+    for (i, j), Fm in F_f.items():
+        F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m] = Fm
+    fixed = F_dense + F_dense.T
+    for i in range(1, k + 1):
+        fixed[i * m:(i + 1) * m, i * m:(i + 1) * m] = R_f[i - 1]
+    if (swap < 0).any() or fixed[pos < 0].any():
+        raise ArithmeticError("coefficient equations couple different sign blocks")
+    ups = np.flatnonzero((a_r < a_c) & (r < s))
+    skew = tuple(zip(rows[ups].tolist(), cols[ups].tolist(),
+                     (a_r[ups] * m + s[ups]).tolist(), (a_c[ups] * m + r[ups]).tolist()))
+    idx = np.arange(dim).reshape(k + 1, m)
+    return BlockLayout(rows=rows, cols=cols, stacks=tuple(stacks), tr=pos[cols, rows],
+                       diag=pos[idx, idx], off=off, up=up, swap=swap,
+                       F_up=F_dense[rows[up], cols[up]],
+                       R_diag=np.ascontiguousarray(R_f.diagonal(axis1=1, axis2=2)),
+                       skew=skew)
 
 
 def assemble(cand: CandidateGraph, c) -> SosProblem:
-    """Exact right-hand sides of the coefficient equations for a base graph."""
+    """Exact right-hand sides of the coefficient equations for a base graph,
+    and the sign blocks of Q."""
     c = Fraction(c)
     k = cand.k
     if k < 2:
@@ -112,54 +201,60 @@ def assemble(cand: CandidateGraph, c) -> SosProblem:
     R_f = np.array([[[float(x) for x in row] for row in Ri] for Ri in R])
     F_f = {key: np.array([[float(x) for x in row] for row in val])
            for key, val in F.items()}
+    blocks = _sign_blocks(k, pairs)
     return SosProblem(candidate=cand, c=c, k=k, m=m, dim=(k + 1) * m,
                       pairs=pairs, R=tuple(tuple(tuple(row) for row in Ri) for Ri in R),
                       F={key: tuple(tuple(row) for row in val) for key, val in F.items()},
-                      R_f=R_f, F_f=F_f)
+                      blocks=blocks, layout=_block_layout(k, m, blocks, R_f, F_f))
 
 
-def _block(Q: np.ndarray, m: int, a: int, b: int) -> np.ndarray:
-    return Q[a * m:(a + 1) * m, b * m:(b + 1) * m]
-
-
-def _project_affine(p: SosProblem, Q: np.ndarray) -> np.ndarray:
-    """Closed-form Frobenius projection onto the coefficient equations
-    (within symmetric matrices). The coupled diagonal blocks average:
-    S0 = (Q_00 + sum_i (R_i - Q_ii)) / (k+1), Q_ii = R_i - S0."""
-    k, m = p.k, p.m
-    out = np.empty_like(Q)
-    S0 = _block(Q, m, 0, 0).copy()
-    for i in range(1, k + 1):
-        S0 += p.R_f[i - 1] - _block(Q, m, i, i)
-    S0 /= (k + 1)
-    S0 = (S0 + S0.T) / 2
-    out[0:m, 0:m] = S0
-    for i in range(1, k + 1):
-        out[i * m:(i + 1) * m, i * m:(i + 1) * m] = p.R_f[i - 1] - S0
-        B = _block(Q, m, 0, i)
-        K = (B - B.T) / 2
-        out[0:m, i * m:(i + 1) * m] = K
-        out[i * m:(i + 1) * m, 0:m] = K.T
-    for i, j in p.pairs:
-        B = _block(Q, m, i, j)
-        K = (B - B.T) / 2
-        out[i * m:(i + 1) * m, j * m:(j + 1) * m] = p.F_f[(i, j)] + K
-        out[j * m:(j + 1) * m, i * m:(i + 1) * m] = (p.F_f[(i, j)] + K).T
+def _project_affine(p: SosProblem, v: np.ndarray) -> np.ndarray:
+    """Closed-form Frobenius projection of the block entries v onto the
+    coefficient equations (within symmetric matrices). Q_00 and each Q_ii
+    hold only their diagonal, and those average coordinate by coordinate:
+    S0 = (Q_00 + sum_i (R_i - Q_ii)) / (k+1), Q_ii = R_i - S0. An entry of
+    Q_ab, a < b, keeps its skew part against its pair (a,s),(b,r) on top of
+    F_ab; Q_ba mirrors it."""
+    L = p.layout
+    out = np.empty_like(v)
+    S0 = v[L.diag[0]]
+    for i in range(1, p.k + 1):
+        S0 += L.R_diag[i - 1] - v[L.diag[i]]
+    S0 /= (p.k + 1)
+    out[L.diag[0]] = S0
+    out[L.diag[1:]] = L.R_diag - S0
+    out[L.off] = L.F_up + (v[L.up] - v[L.swap]) / 2
     return out
 
 
-def affine_residual(p: SosProblem, Q: np.ndarray) -> float:
-    """Max-norm violation of the coefficient equations at Q."""
-    k, m = p.k, p.m
-    r = float(np.abs(Q - Q.T).max())
-    S0 = _block(Q, m, 0, 0)
-    for i in range(1, k + 1):
-        r = max(r, float(np.abs(S0 + _block(Q, m, i, i) - p.R_f[i - 1]).max()))
-        r = max(r, float(np.abs(_block(Q, m, 0, i) + _block(Q, m, i, 0)).max()))
-    for i, j in p.pairs:
-        r = max(r, float(np.abs(_block(Q, m, i, j) + _block(Q, m, j, i)
-                                - 2 * p.F_f[(i, j)]).max()))
-    return r
+def affine_residual(p: SosProblem, v: np.ndarray) -> float:
+    """Max-norm violation of the coefficient equations at the block entries
+    v (symmetry; x_i^2 with T eliminated; x_i and x_i x_j)."""
+    L = p.layout
+    return max(float(np.abs(v - v[L.tr]).max()),
+               float(np.abs(v[L.diag[0]] + v[L.diag[1:]] - L.R_diag).max()),
+               float(np.abs(v[L.up] + v[L.tr[L.swap]] - 2 * L.F_up).max(initial=0.0)))
+
+
+def _stacks(L: BlockLayout, v: np.ndarray):
+    """(start, stop, blocks of v as a (count, size, size) view), per size."""
+    for s, start, count in L.stacks:
+        stop = start + count * s * s
+        yield start, stop, v[start:stop].reshape(count, s, s)
+
+
+def _clip_psd(L: BlockLayout, v: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix block by block: one stacked eigh per block size."""
+    out = np.empty_like(v)
+    for start, stop, X in _stacks(L, v):
+        w, V = np.linalg.eigh(X)
+        P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
+        out[start:stop] = ((P + P.transpose(0, 2, 1)) / 2).ravel()
+    return out
+
+
+def _min_eigenvalue(L: BlockLayout, v: np.ndarray) -> float:
+    return min(float(np.linalg.eigvalsh(X)[:, 0].min()) for _, _, X in _stacks(L, v))
 
 
 @dataclass(frozen=True)
@@ -181,33 +276,35 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
 
     Plain alternation P_psd(P_aff(.)) stalls here: the intersection is
     non-transversal (every certificate is singular, see module docstring),
-    where averaged reflections keep their linear rate. Both projections are
-    the closed forms above: blockwise averaging for the affine set,
-    eigen-clip at 0 for the cone. Terminates when the affine shadow Qa has
-    both residuals (affine max-norm violation, most negative eigenvalue)
-    below tol; Qa is returned symmetrized. Deterministic: starts from Q = 0.
+    where averaged reflections keep their linear rate. The iterate lives on
+    the sign blocks (module docstring), and both projections are closed
+    forms there: coordinate averaging for the affine set, eigen-clip at 0
+    block by block for the cone. Terminates when the affine shadow Qa has
+    both residuals (affine max-norm violation, most negative block
+    eigenvalue) below tol; Qa is returned as a dense matrix, exactly 0 off
+    the blocks. Deterministic: starts from Q = 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not (0 < omega <= 2):
         raise ValueError("omega must be in (0, 2]")
-    Q = np.zeros((p.dim, p.dim))
+    L = p.layout
+    v = np.zeros(L.rows.size)
+    va = v
     aff = psd = np.inf
-    Qa = Q
-    for it in range(1, max_iter + 1):
-        Qa = _project_affine(p, Q)
-        Qa = (Qa + Qa.T) / 2
-        psd = max(0.0, float(-np.linalg.eigvalsh(Qa)[0]))
-        aff = affine_residual(p, Qa)
+    status, it = "NOT_FOUND", max_iter
+    for n in range(1, max_iter + 1):
+        va = _project_affine(p, v)
+        psd = max(0.0, -_min_eigenvalue(L, va))
+        aff = affine_residual(p, va)
         if psd <= tol and aff <= tol:
-            T = float(p.c) * np.eye(p.m) - _block(Qa, p.m, 0, 0)
-            return SolveResult("CONVERGED", Qa, (T + T.T) / 2, it, aff, psd)
-        R = 2 * Qa - Q
-        w, V = np.linalg.eigh((R + R.T) / 2)
-        Rp = (V * np.maximum(w, 0.0)) @ V.T
-        Q = Q + omega * ((Rp + Rp.T) / 2 - Qa)
-    T = float(p.c) * np.eye(p.m) - _block(Qa, p.m, 0, 0)
-    return SolveResult("NOT_FOUND", Qa, (T + T.T) / 2, max_iter, aff, psd)
+            status, it = "CONVERGED", n
+            break
+        v = v + omega * (_clip_psd(L, 2 * va - v) - va)
+    Q = np.zeros((p.dim, p.dim))
+    Q[L.rows, L.cols] = va
+    T = np.diag(float(p.c) - va[L.diag[0]])
+    return SolveResult(status, Q, T, it, aff, psd)
 
 
 @dataclass(frozen=True)
@@ -228,55 +325,35 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int = 10 ** 4) -> Cer
     """Round the free parameters to denominators <= max_den and reconstruct
     every dependent entry exactly from the coefficient equations.
 
-    Free: upper triangle of Q_00, strict upper triangles of the skew blocks
-    Q_0i, skew parts of Q_ij (i < j). Dependent: Q_ii = R_i - Q_00,
-    sym(Q_ij) = F_ij, T = c*I - Q_00. The output therefore satisfies the
-    polynomial identity over Q regardless of rounding quality; only PSD can
-    fail.
+    Only block entries are touched; every other entry, all of Q_0i among
+    them, is exactly 0. Free: the diagonal of Q_00, and the skew parts of
+    Q_ij (i < j), rounded on (r, s) with r < s and negated on (s, r). Dependent:
+    Q_ii = R_i - Q_00, sym(Q_ij) = F_ij, T = c*I - Q_00. The output
+    therefore satisfies the polynomial identity over Q regardless of
+    rounding quality; only PSD can fail.
     """
     k, m = p.k, p.m
-    Qs = (np.asarray(Q_num, dtype=float) + np.asarray(Q_num, dtype=float).T) / 2
+    Qn = np.asarray(Q_num, dtype=float)
+    Qs = ((Qn + Qn.T) / 2).tolist()
 
     def approx(x) -> Fraction:
         return exactq.rational_approx(float(x), max_den)
 
-    Z = lambda: [[Fraction(0)] * m for _ in range(m)]
-    B00 = _block(Qs, m, 0, 0)
-    Q00 = Z()
+    zero = Fraction(0)
+    Q = [[zero] * p.dim for _ in range(p.dim)]
+    T = [[zero] * m for _ in range(m)]
     for r in range(m):
-        for s in range(r, m):
-            Q00[r][s] = Q00[s][r] = approx((B00[r, s] + B00[s, r]) / 2)
-
-    blocks: dict[tuple[int, int], QMatrix] = {(0, 0): Q00}
-    for i in range(1, k + 1):
-        Rm = p.R[i - 1]
-        blocks[(i, i)] = [[Rm[r][s] - Q00[r][s] for s in range(m)] for r in range(m)]
-        B = _block(Qs, m, 0, i)
-        K = Z()
-        for r in range(m):
-            for s in range(r + 1, m):
-                v = approx((B[r, s] - B[s, r]) / 2)
-                K[r][s], K[s][r] = v, -v
-        blocks[(0, i)] = K
-        blocks[(i, 0)] = [[-K[r][s] for s in range(m)] for r in range(m)]
-    for i, j in p.pairs:
-        B = _block(Qs, m, i, j)
-        Fm = p.F[(i, j)]
-        K = Z()
-        for r in range(m):
-            for s in range(r + 1, m):
-                v = approx((B[r, s] - B[s, r]) / 2)
-                K[r][s], K[s][r] = v, -v
-        blocks[(i, j)] = [[Fm[r][s] + K[r][s] for s in range(m)] for r in range(m)]
-        blocks[(j, i)] = [[Fm[r][s] - K[r][s] for s in range(m)] for r in range(m)]
-
-    dim = p.dim
-    Q = [[Fraction(0)] * dim for _ in range(dim)]
-    for (a, b), Bm in blocks.items():
-        for r in range(m):
-            Q[a * m + r][b * m:(b + 1) * m] = list(Bm[r])
-    T = [[(p.c if r == s else Fraction(0)) - Q00[r][s] for s in range(m)]
-         for r in range(m)]
+        q = Q[r][r] = approx(Qs[r][r])
+        T[r][r] = p.c - q
+        for i in range(1, k + 1):
+            t = i * m + r
+            Q[t][t] = p.R[i - 1][r][r] - q
+    for t, u, t2, u2 in p.layout.skew:  # (i,r),(j,s) and (i,s),(j,r); i < j, r < s
+        v = approx((Qs[t][u] - Qs[t2][u2]) / 2)
+        Fm = p.F[(t // m, u // m)]
+        r, s = t % m, u % m
+        Q[t][u] = Q[u][t] = Fm[r][s] + v
+        Q[t2][u2] = Q[u2][t2] = Fm[s][r] - v
     return Certificate(candidate=p.candidate.name, c=p.c, k=k, m=m,
                        Q=_freeze(Q), T=_freeze(T))
 

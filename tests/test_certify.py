@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -8,6 +9,44 @@ from specsum import certify as ct
 from specsum import exactq
 
 C87 = Fraction(8, 7)
+
+# the 8 certificate files pinned byte for byte: (base, bound, SHA-256)
+PINNED = [
+    ("P3", C87, "1e510a88601ff6f083f23ea203cb0888fa1fa95ef1b6b2f4d987c2c0f88e9ebe"),
+    ("P4", C87, "ac68b6a0c57b2d53eeaac4c42f7025ef119038f9cd04eb4f66c0bc684376ebd0"),
+    ("H5", C87, "077683f3255e3e6ac159d686699f287dfc10d65cf8740bf9f274973a0f6bd573"),
+    ("H6", C87, "cbef8f2570b723a30829a4132284fb3a0f3b496f1f84f5c62ceb754285957643"),
+    ("H5", Fraction(6, 5), "7a15a97ecaeb2920d6957e2f050be6233ac810bd9e103590c6e2856d3fca063a"),
+    ("H5", Fraction(23, 20), "fcd3113176e250441a34ebe61e9cb1bfa26ae151578ed20cf8472f58bda8ae9b"),
+    ("H6", Fraction(23, 20), "0a139772277bab92156a4b3afa68dce387a0770994a29a1c85fd276c724c9109"),
+    ("H6", Fraction(6, 5), "69e80fc85ba7abb188afee4c715a2796871ec59907776546a84c835580d26365"),
+]
+# the denominators each of those calls tries, in order; the last one passes
+RUNGS = {("P3", C87): (7, 14), ("P4", C87): (7, 14, 21, 28, 42),
+         ("H5", C87): (7, 14), ("H6", C87): (7, 14, 21, 28),
+         ("H5", Fraction(6, 5)): (7,), ("H5", Fraction(23, 20)): (7, 14),
+         ("H6", Fraction(23, 20)): (7, 14, 21, 28),
+         ("H6", Fraction(6, 5)): (7, 14, 21, 28, 42)}
+
+
+@functools.lru_cache(maxsize=None)
+def certified(name, c):
+    return ct.certify(ct.cert_base(name), c)
+
+
+def character(p, t):
+    """e_a + e_i + e_j of coordinate t = (a, (i, j)) as a set of vertices."""
+    a, r = divmod(t, p.m)
+    i, j = p.pairs[r]
+    return frozenset({a} if a else ()) ^ {i} ^ {j}
+
+
+def block_mask(p):
+    M = np.zeros((p.dim, p.dim), dtype=bool)
+    for B in p.blocks.values():
+        for idx in B:
+            M[np.ix_(idx, idx)] = True
+    return M
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +95,56 @@ class TestAssemble:
             ct.cert_base("K3")
 
 
+class TestSignBlocks:
+    @pytest.mark.parametrize("name", ["K2", "P3", "P4", "H5", "H6"])
+    def test_blocks_partition_coordinates_by_character(self, name):
+        p = ct.assemble(ct.cert_base(name), C87)
+        seen = sorted(t for B in p.blocks.values() for t in B.ravel().tolist())
+        assert seen == list(range(p.dim))
+        chars = {}
+        for s, B in p.blocks.items():
+            assert B.shape[1] == s
+            for idx in B.tolist():
+                assert idx == sorted(idx)
+                (ch,) = {character(p, t) for t in idx}  # one character a block
+                assert ch not in chars  # and one block a character
+                chars[ch] = idx
+
+    @pytest.mark.parametrize("name,sizes", [
+        ("P3", {1: 3, 2: 3, 3: 1}), ("P4", {1: 6, 3: 8}),
+        ("H5", {1: 10, 3: 10, 4: 5}), ("H6", {1: 15, 3: 20, 5: 6})])
+    def test_block_sizes(self, name, sizes):
+        p = ct.assemble(ct.cert_base(name), C87)
+        assert {s: len(B) for s, B in p.blocks.items()} == sizes
+
+    @pytest.mark.parametrize("name", ["P3", "P4", "H5", "H6"])
+    def test_solve_is_exactly_zero_off_block(self, name):
+        p = ct.assemble(ct.cert_base(name), C87)
+        r = ct.sdp_solve(p)
+        assert r.status == "CONVERGED"
+        assert not r.Q[~block_mask(p)].any()
+        assert np.array_equal(r.Q, r.Q.T)
+        assert np.array_equal(r.T, np.diag(np.diag(r.T)))
+
+    def test_affine_residual_sees_each_equation(self):
+        # a point on the affine set, then one equation broken by 1e-3 at a time
+        p = ct.assemble(ct.cert_base("P4"), C87)
+        L = p.layout
+        v = ct._project_affine(p, np.zeros(L.rows.size))
+        assert ct.affine_residual(p, v) < 1e-12
+        # Q_0i is off the blocks; the entries of Q_ij, i < j, are in
+        assert not (L.rows[L.off] < p.m).any()
+        for e in L.off[L.up == L.off][[0, -1]]:
+            for pert in ((e,), (e, L.tr[e])):  # asymmetric; symmetric
+                w = v.copy()
+                w[list(pert)] += 1e-3
+                assert ct.affine_residual(p, w) >= 1e-3 - 1e-12
+        for e in (L.diag[0][0], L.diag[2][1]):
+            w = v.copy()
+            w[e] += 1e-3
+            assert ct.affine_residual(p, w) >= 1e-3 - 1e-12
+
+
 class TestSdpSolve:
     def test_trivial_base_immediate(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
@@ -102,6 +191,13 @@ class TestRationalize:
         junk = rng.standard_normal((p3_problem.dim, p3_problem.dim))
         cert = ct.rationalize(p3_problem, junk, max_den=97)
         assert ct.verify_identity(cert).ok
+
+    def test_off_block_input_is_ignored(self):
+        p = ct.assemble(ct.cert_base("H5"), C87)
+        junk = np.random.default_rng(1).standard_normal((p.dim, p.dim))
+        cert = ct.rationalize(p, junk, max_den=97)
+        assert cert == ct.rationalize(p, np.where(block_mask(p), junk, 0.0), max_den=97)
+        assert ct.verify_identity(cert, problem=p).ok
 
     def test_trivial_base_exact(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
@@ -186,23 +282,25 @@ class TestCertify:
         assert r.certificate is None
         assert r.stage in ("sdp_solve", "verify_psd")
 
-    @pytest.mark.parametrize("name,c,sha", [
-        ("P3", C87, "1e510a88601ff6f083f23ea203cb0888fa1fa95ef1b6b2f4d987c2c0f88e9ebe"),
-        ("P4", C87, "ac68b6a0c57b2d53eeaac4c42f7025ef119038f9cd04eb4f66c0bc684376ebd0"),
-        ("H5", C87, "077683f3255e3e6ac159d686699f287dfc10d65cf8740bf9f274973a0f6bd573"),
-        ("H6", C87, "cbef8f2570b723a30829a4132284fb3a0f3b496f1f84f5c62ceb754285957643"),
-        ("H5", Fraction(6, 5), "7a15a97ecaeb2920d6957e2f050be6233ac810bd9e103590c6e2856d3fca063a"),
-        ("H5", Fraction(23, 20), "fcd3113176e250441a34ebe61e9cb1bfa26ae151578ed20cf8472f58bda8ae9b"),
-        ("H6", Fraction(23, 20), "0a139772277bab92156a4b3afa68dce387a0770994a29a1c85fd276c724c9109"),
-        ("H6", Fraction(6, 5), "69e80fc85ba7abb188afee4c715a2796871ec59907776546a84c835580d26365"),
-    ])
+    @pytest.mark.parametrize("name,c,sha", PINNED)
     def test_certificate_bytes_pinned(self, name, c, sha):
         # the emitted file is what `ssc verify` users re-check and compare,
         # so a solver change that moves the rounded point must show up here
-        r = ct.certify(ct.cert_base(name), c)
+        r = certified(name, c)
         assert r.status == "FOUND"
         text = ct.format_certificate(r.certificate)
         assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("name,c", list(RUNGS))
+    def test_rungs_pinned_and_nonzeros_inside_blocks(self, name, c):
+        r = certified(name, c)
+        want = RUNGS[name, c]
+        assert r.attempts == tuple((d, exactq.PSD if d == want[-1] else exactq.NOT_PSD)
+                                   for d in want)
+        Q = np.array([[x != 0 for x in row] for row in r.certificate.Q])
+        assert not (Q & ~block_mask(ct.assemble(ct.cert_base(name), c))).any()
+        T = np.array([[x != 0 for x in row] for row in r.certificate.T])
+        assert not (T & ~np.eye(len(T), dtype=bool)).any()
 
     def test_identity_break_fails_closed(self, monkeypatch):
         # the identity is checked only on the accepted rung; a PSD
