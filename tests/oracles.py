@@ -208,3 +208,19 @@ def dense_ldl_psd_check(Q):
         active.remove(p)
     return "PSD", list(zip(cols, vals))
 
+
+def spot_check_loop(base, c, samples: int = 1000, seed: int = 0) -> float:
+    """One sample at a time: min over random unit x of the least eigenvalue
+    of c*I - psi(A o x x^T), with psi of the whole matrix per sample."""
+    from specsum import compound
+
+    rng = np.random.default_rng(seed)
+    A = base.graph.adjacency()
+    cI = float(Fraction(c)) * np.eye(len(compound.wedge_pairs(base.k)))
+    worst = np.inf
+    for _ in range(samples):
+        x = rng.standard_normal(base.k)
+        x /= np.linalg.norm(x)
+        w = np.linalg.eigvalsh(cI - compound.psi(A * np.outer(x, x)))
+        worst = min(worst, float(w[0]))
+    return worst

@@ -7,6 +7,7 @@ import pytest
 
 from specsum import certify as ct
 from specsum import exactq
+from oracles import spot_check_loop
 
 C87 = Fraction(8, 7)
 
@@ -368,6 +369,14 @@ class TestSoundness:
         worst = ct.soundness_spot_check(ct.cert_base("P3"), C87,
                                         samples=200, seed=0)
         assert worst >= -1e-9
+
+    @pytest.mark.parametrize("name,c,seed", [
+        ("K2", 1, 0), ("P3", C87, 1), ("P4", Fraction(6, 5), 2),
+        ("H5", C87, 3), ("H6", C87, 0), ("H6", Fraction(23, 20), 4)])
+    def test_spot_check_matches_loop(self, name, c, seed):
+        base = ct.cert_base(name)
+        got = ct.soundness_spot_check(base, c, samples=300, seed=seed)
+        assert abs(got - spot_check_loop(base, c, samples=300, seed=seed)) <= 1e-12
 
     def test_bridge_to_weighted_matrix(self):
         # x = sqrt(u) turns M*(x) into the weighted step matrix
