@@ -196,8 +196,9 @@ def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
     point, all climbing as one stack: per iteration one stacked eigensolve,
     the analytic gradient (one-sided on zero weights, see _sigma_grad) and
     Armijo halving per row. A row at a lambda2 = lambda3 kink, where sigma
-    has no gradient, instead takes a small seeded random step. Equal values
-    go to the lexicographically smaller u.
+    has no gradient, instead takes a small seeded random step. The best
+    grid point is kept unless a climb beats it by more than 8 ulps; equal
+    climbed values go to the lexicographically smaller u.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -214,10 +215,12 @@ def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
     starts = np.vstack([grid[order[:50]],
                         rng.dirichlet(np.ones(k), size=restarts)])
     U, vals = _ascend(A, starts, rng)
-    U = np.vstack([grid[order[0]], U])
-    vals = np.append(grid_vals[order[0]], vals)
     i = np.lexsort((*U.T[::-1], -vals))[0]  # highest value, then smallest u
-    best_u, best_val = U[i], float(vals[i])
+    best_u, best_val = grid[order[0]], float(grid_vals[order[0]])
+    # a climb that ends a few ulps above the grid point has found the same
+    # maximum, rounded differently; the exact grid point wins that tie
+    if vals[i] > best_val + 8 * np.finfo(float).eps * abs(best_val):
+        best_u, best_val = U[i], float(vals[i])
 
     # Optima routinely sit on a simplex face; the projection leaves
     # weights at roundoff scale (~1e-17) instead of exact zeros, which

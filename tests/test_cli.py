@@ -121,6 +121,13 @@ class TestOptimize:
         assert code == 0
         assert abs(float(kv(out)["sigma"]) - 8 / 7) <= 1e-9
 
+    def test_p3_ellipse_residuals_at_roundoff(self, capsys):
+        # the exact maximizer (2/7, 3/7, 2/7), not a climbed point 2e-8 off it
+        code, out = run(capsys, "optimize", "P3", "--restarts", "200", "--seed", "0")
+        assert code == 0
+        resid = [float(x) for x in kv(out)["ellipse_residual"].split()]
+        assert max(map(abs, resid)) <= 1e-14
+
     def test_human_table(self, capsys):
         code, out = run(capsys, "--human", "optimize", "P3", "--restarts", "5")
         assert code == 0

@@ -106,6 +106,16 @@ class TestMaximizeSigma:
         assert abs(val - P3_SIGMA_STAR) < 1e-9
         assert np.abs(u - np.array(P3_U_STAR)).max() < 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_p3_exact_grid_point_wins_ulp_tie(self, seed):
+        # climbs end a few ulps above sigma at (4, 6, 4)/14 = u*, about 2e-8
+        # away from it; the grid point is the exact maximizer and is kept
+        u, val = stepmodel.maximize_sigma(stepmodel.candidate("P3"),
+                                          restarts=200, seed=seed)
+        grid_u = np.array([4, 6, 4]) / 14
+        assert np.array_equal(u, grid_u)
+        assert val == stepmodel.sigma(model("P3", grid_u))
+
     def test_deterministic_under_seed(self):
         cand = stepmodel.candidate("P4")
         u1, v1 = stepmodel.maximize_sigma(cand, restarts=20, seed=3)
