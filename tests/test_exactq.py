@@ -183,9 +183,9 @@ class TestLdlPsdCheck:
         Q = [[Fraction(int(c)) for c in row] for row in
              ("10010", "01000", "00000", "10010", "00001")]
         assert exactq.components(Q) == [[0, 3], [1], [2], [4]]
-        # a chain connects its ends through the middle
-        Q = [[Fraction(int(c)) for c in row] for row in ("100", "001", "011")]
-        assert exactq.components(Q) == [[0], [1, 2]]
+        # a chain connects its ends through the middle: 0 - 2 - 1
+        Q = [[Fraction(int(c)) for c in row] for row in ("101", "011", "111")]
+        assert exactq.components(Q) == [[0, 1, 2]]
 
     def test_witness_lives_on_its_component(self):
         I, Z = Fraction(1), Fraction(0)
