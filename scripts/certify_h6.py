@@ -11,8 +11,8 @@ then continued-fraction rounding of the free parameters onto a denominator
 ladder, exact reconstruction of the dependent blocks, and exact rational
 verification (coefficient identity + LDL^T positive-semidefiniteness of Q).
 H6 is the full-scale case (Q is 105x105); at 8/7 the solver converges in 133
-iterations and the certificate lands on denominator 28 in about 0.065 s of CPU
-time (Python 3.11, numpy 2.4, one BLAS thread).  The resulting file is
+iterations and the certificate lands on denominator 28 in about 0.06 s of CPU
+time (Python 3.11, numpy 2.4, one BLAS thread, 2-core VM).  The resulting file is
 self-contained and re-checkable with `ssc verify`.
 """
 

@@ -36,8 +36,9 @@ Douglas-Rachford projection splitting, rounds the free parameters inside
 the blocks to bounded-denominator rationals, reconstructs the dependent
 entries exactly (so the identity holds over Q by construction), and
 verifies PSD by exact LDL^T. The exact checks do not rely on the blocks:
-the identity is compared entry by entry, and the LDL^T splits Q only into
-the connected components of its nonzero pattern.
+the identity is compared entry by entry wherever either side of an
+equation is nonzero (everywhere else both sides are exactly 0), and the
+LDL^T splits Q only into the connected components of its nonzero pattern.
 
 Any certificate here is necessarily singular: at extremal unit x* (where
 lambda1 + lambda2 attains c) the top wedge vector w of psi(M*(x*)) gives
@@ -56,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import compound, exactq
-from .exactq import QMatrix
+from .exactq import _ZERO, QMatrix
 from .graphs import graph
 from .stepmodel import CANDIDATES, CandidateGraph
 
@@ -71,15 +72,6 @@ def cert_base(name: str) -> CandidateGraph:
         return CERT_BASES[name]
     except KeyError:
         raise ValueError(f"unknown certificate base {name!r}; have {sorted(CERT_BASES)}")
-
-
-def _adjacency_q(cand: CandidateGraph) -> QMatrix:
-    k = cand.k
-    A = [[Fraction(0)] * k for _ in range(k)]
-    for i, j in cand.graph.edges:
-        A[i - 1][j - 1] = Fraction(1)
-        A[j - 1][i - 1] = Fraction(1)
-    return A
 
 
 @dataclass(frozen=True)
@@ -113,6 +105,7 @@ class SosProblem:
     pairs: tuple
     R: tuple  # R_i = c*I - A_ii psi(E_ii), exact, i = 1..k
     F: dict  # F[(i,j)] = -A_ij psi(E_ij + E_ji)/2, exact, i < j
+    rhs: dict = field(repr=False)  # coefficient name -> {(r, s): nonzero right-hand side}
     blocks: dict = field(repr=False)  # size -> (count, size) coordinates, see _sign_blocks
     layout: BlockLayout = field(repr=False)
 
@@ -134,7 +127,9 @@ def _sign_blocks(k: int, pairs) -> dict[int, np.ndarray]:
     return {s: np.array(gs, dtype=np.intp) for s, gs in sorted(by_size.items())}
 
 
-def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray, F_f: dict) -> BlockLayout:
+def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray,
+                  F_dense: np.ndarray) -> BlockLayout:
+    """F_dense holds F_ij at block (i, j), i < j, and 0 elsewhere."""
     dim = (k + 1) * m
     rows = np.concatenate([np.repeat(B, s, axis=1).ravel() for s, B in blocks.items()])
     cols = np.concatenate([np.tile(B, (1, s)).ravel() for s, B in blocks.items()])
@@ -148,9 +143,6 @@ def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray, F_f: dict) -> B
     off = np.flatnonzero(a_r != a_c)
     up = np.where(a_r[off] < a_c[off], off, pos[cols[off], rows[off]])
     swap = pos[a_r[up] * m + s[up], a_c[up] * m + r[up]]
-    F_dense = np.zeros((dim, dim))
-    for (i, j), Fm in F_f.items():
-        F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m] = Fm
     fixed = F_dense + F_dense.T
     for i in range(1, k + 1):
         fixed[i * m:(i + 1) * m, i * m:(i + 1) * m] = R_f[i - 1]
@@ -167,45 +159,60 @@ def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray, F_f: dict) -> B
                        skew=skew)
 
 
+def _support(M) -> list:
+    """(row, col) of every nonzero entry of a square matrix, row-major."""
+    cols = range(len(M))
+    return [(r, s) for r, row in enumerate(M) for s in itertools.compress(cols, row)]
+
+
 def assemble(cand: CandidateGraph, c) -> SosProblem:
     """Exact right-hand sides of the coefficient equations for a base graph,
-    and the sign blocks of Q."""
+    and the sign blocks of Q. Fraction arithmetic touches only the nonzero
+    entries; a non-edge's F is the all-zero matrix."""
     c = Fraction(c)
     k = cand.k
     if k < 2:
         raise ValueError("base graph needs at least 2 vertices")
-    A = _adjacency_q(cand)
     pairs = tuple(itertools.combinations(range(1, k + 1), 2))
     m = len(pairs)
+    dim = (k + 1) * m
 
-    def E(i, j):
-        Z = [[Fraction(0)] * k for _ in range(k)]
-        Z[i - 1][j - 1] = Fraction(1)
-        return Z
+    def edge_term(i, j) -> dict:
+        """-A_ij psi(E_ij + E_ji), E_ii once for i = j, on its nonzeros:
+        the right-hand side of x_i x_j, or of x_i^2 (it is R_i - c*I)."""
+        if (i, j) not in cand.graph.edges:
+            return {}
+        E = [[_ZERO] * k for _ in range(k)]
+        E[i - 1][j - 1] = E[j - 1][i - 1] = Fraction(-1)
+        P = compound.psi(E)
+        return {(r, s): P[r][s] for r, s in _support(P)}
 
-    def EpE(i, j):
-        Z = E(i, j)
-        Z[j - 1][i - 1] = Fraction(1)
-        return Z
+    def dense(entries: dict, out: np.ndarray) -> tuple:
+        """entries as an m x m matrix, 0 elsewhere; also written into out as floats."""
+        M = [[_ZERO] * m for _ in range(m)]
+        for (r, s), x in entries.items():
+            M[r][s] = x
+            out[r, s] = float(x)
+        return tuple(map(tuple, M))
 
-    R = []
+    rhs = {"1": {(r, r): c for r in range(m)} if c else {}}
+    R, R_f = [], np.zeros((k, m, m))
     for i in range(1, k + 1):
-        psiE = compound.psi(E(i, i))
-        R.append([[ (c if r == s else Fraction(0)) - A[i - 1][i - 1] * psiE[r][s]
-                    for s in range(m)] for r in range(m)])
-    F = {}
+        rhs[f"x_{i}"] = {}
+        sq = rhs[f"x_{i}^2"] = edge_term(i, i)
+        Ri = {(r, r): c for r in range(m)}
+        for key, x in sq.items():
+            Ri[key] = Ri[key] + x if key in Ri else x
+        R.append(dense(Ri, R_f[i - 1]))
+    F, F_dense = {}, np.zeros((dim, dim))
     for i, j in pairs:
-        psiP = compound.psi(EpE(i, j))
-        F[(i, j)] = [[-A[i - 1][j - 1] * psiP[r][s] / 2 for s in range(m)]
-                     for r in range(m)]
-    R_f = np.array([[[float(x) for x in row] for row in Ri] for Ri in R])
-    F_f = {key: np.array([[float(x) for x in row] for row in val])
-           for key, val in F.items()}
+        two_f = rhs[f"x_{i}*x_{j}"] = edge_term(i, j)
+        F[(i, j)] = dense({key: x / 2 for key, x in two_f.items()},
+                          F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m])
     blocks = _sign_blocks(k, pairs)
-    return SosProblem(candidate=cand, c=c, k=k, m=m, dim=(k + 1) * m,
-                      pairs=pairs, R=tuple(tuple(tuple(row) for row in Ri) for Ri in R),
-                      F={key: tuple(tuple(row) for row in val) for key, val in F.items()},
-                      blocks=blocks, layout=_block_layout(k, m, blocks, R_f, F_f))
+    return SosProblem(candidate=cand, c=c, k=k, m=m, dim=dim, pairs=pairs,
+                      R=tuple(R), F=F, rhs=rhs, blocks=blocks,
+                      layout=_block_layout(k, m, blocks, R_f, F_dense))
 
 
 def _project_affine(p: SosProblem, v: np.ndarray) -> np.ndarray:
@@ -339,9 +346,8 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int = 10 ** 4) -> Cer
     def approx(x) -> Fraction:
         return exactq.rational_approx(float(x), max_den)
 
-    zero = Fraction(0)
-    Q = [[zero] * p.dim for _ in range(p.dim)]
-    T = [[zero] * m for _ in range(m)]
+    Q = [[_ZERO] * p.dim for _ in range(p.dim)]
+    T = [[_ZERO] * m for _ in range(m)]
     for r in range(m):
         q = Q[r][r] = approx(Qs[r][r])
         T[r][r] = p.c - q
@@ -362,7 +368,7 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int = 10 ** 4) -> Cer
 class IdentityReport:
     ok: bool
     violations: tuple  # (coefficient, row, col, got, want), capped
-    checked: int
+    checked: int  # entries compared explicitly: the union of supports
 
 
 def verify_identity(cert: Certificate, problem: SosProblem = None,
@@ -375,6 +381,13 @@ def verify_identity(cert: Certificate, problem: SosProblem = None,
     The right-hand sides come from `problem` when given (it must be for the
     certificate's base and bound), else from assembling the named base at
     cert.c.
+
+    One pass collects the nonzeros of Q and T. Each equation, symmetry
+    included, is compared on the union of the supports of its two sides:
+    the nonzeros of the blocks of Q and T it reads and of its right-hand
+    side. Off that union every term on both sides is exactly 0, so the
+    check is complete; `checked` counts the entries on the unions.
+    Violations come in the order of a dense row-major scan.
     """
     if problem is None:
         problem = assemble(cert_base(cert.candidate), cert.c)
@@ -389,51 +402,45 @@ def verify_identity(cert: Certificate, problem: SosProblem = None,
             len(T) != p.m or any(len(r) != p.m for r in T):
         return IdentityReport(False, (("shape", 0, 0, (len(Q), len(T)), (p.dim, p.m)),), 0)
     m, k = p.m, p.k
+    q_nz, t_nz = _support(Q), set(_support(T))
     bad = []
     checked = 0
+    for name, M, nz in (("sym(Q)", Q, q_nz), ("sym(T)", T, t_nz)):
+        keys = sorted({(min(r, s), max(r, s)) for r, s in nz if r != s})
+        checked += len(keys)
+        bad += [(name, r, s, M[r][s], M[s][r]) for r, s in keys if M[r][s] != M[s][r]]
+    blk: dict = {}
+    for t, u in q_nz:
+        blk.setdefault((t // m, u // m), set()).add((t % m, u % m))
 
-    def blk(a, b, r, s):
-        return Q[a * m + r][b * m + s]
+    def on(a, b) -> set:
+        return blk.get((a, b), set())
 
-    for r in range(p.dim):
-        for s in range(r + 1, p.dim):
-            checked += 1
-            if Q[r][s] != Q[s][r]:
-                bad.append(("sym(Q)", r, s, Q[r][s], Q[s][r]))
-    for r in range(m):
-        for s in range(r + 1, m):
-            checked += 1
-            if T[r][s] != T[s][r]:
-                bad.append(("sym(T)", r, s, T[r][s], T[s][r]))
-    for r in range(m):
-        for s in range(m):
-            checked += 1
-            want = p.c if r == s else Fraction(0)
-            got = blk(0, 0, r, s) + T[r][s]
-            if got != want:
-                bad.append(("1", r, s, got, want))
+    def check(name, keys, got) -> list:
+        nonlocal checked
+        want = p.rhs[name]
+        keys = sorted(keys | want.keys())
+        checked += len(keys)
+        out = []
+        for r, s in keys:
+            g, w = got(r, s), want.get((r, s), _ZERO)
+            if g != w:
+                out.append((name, r, s, g, w))
+        return out
+
+    bad += check("1", on(0, 0) | t_nz, lambda r, s: Q[r][s] + T[r][s])
     for i in range(1, k + 1):
-        Ri = p.R[i - 1]
-        for r in range(m):
-            for s in range(m):
-                checked += 2
-                got = blk(0, i, r, s) + blk(i, 0, r, s)
-                if got != 0:
-                    bad.append((f"x_{i}", r, s, got, Fraction(0)))
-                # x_i^2: Q_ii - T = R_i - c*I
-                want = Ri[r][s] - (p.c if r == s else Fraction(0))
-                got = blk(i, i, r, s) - T[r][s]
-                if got != want:
-                    bad.append((f"x_{i}^2", r, s, got, want))
+        o = i * m
+        # a dense scan meets x_i and x_i^2 entry by entry
+        bad += sorted(check(f"x_{i}", on(0, i) | on(i, 0),
+                            lambda r, s: Q[r][o + s] + Q[o + r][s])
+                      + check(f"x_{i}^2", on(i, i) | t_nz,
+                              lambda r, s: Q[o + r][o + s] - T[r][s]),
+                      key=lambda v: v[1:3])
     for i, j in p.pairs:
-        Fm = p.F[(i, j)]
-        for r in range(m):
-            for s in range(m):
-                checked += 1
-                got = blk(i, j, r, s) + blk(j, i, r, s)
-                want = 2 * Fm[r][s]
-                if got != want:
-                    bad.append((f"x_{i}*x_{j}", r, s, got, want))
+        oi, oj = i * m, j * m
+        bad += check(f"x_{i}*x_{j}", on(i, j) | on(j, i),
+                     lambda r, s: Q[oi + r][oj + s] + Q[oj + r][oi + s])
     return IdentityReport(ok=not bad, violations=tuple(bad[:max_report]), checked=checked)
 
 
@@ -541,26 +548,33 @@ def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) ->
 # then dimQ rows of dimQ rationals (Q), then m rows of m rationals (T).
 
 def format_certificate(cert: Certificate) -> str:
+    def row_text(row) -> str:
+        return " ".join([exactq.format_rational(x) if x else "0/1" for x in row])
+
     lines = [f"candidate {cert.candidate}",
              f"bound {exactq.format_rational(cert.c)}",
              f"{cert.k} {cert.m} {len(cert.Q)}"]
-    for row in cert.Q:
-        lines.append(" ".join(exactq.format_rational(x) for x in row))
-    for row in cert.T:
-        lines.append(" ".join(exactq.format_rational(x) for x in row))
+    lines += map(row_text, cert.Q)
+    lines += map(row_text, cert.T)
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Read the certificate format; any deviation raises ValueError naming
+    the line. Each distinct matrix token is read by exactq.parse_rational
+    once per call, and every zero is the shared exactq._ZERO."""
     lines = text.splitlines()
     if len(lines) < 3:
         raise ValueError("line 1: truncated certificate")
-    if not lines[0].startswith("candidate "):
+    name = lines[0][len("candidate "):].strip() if lines[0].startswith("candidate ") else ""
+    if not name:
         raise ValueError("line 1: expected 'candidate <name>'")
-    name = lines[0].split(None, 1)[1].strip()
     if not lines[1].startswith("bound "):
         raise ValueError("line 2: expected 'bound p/q'")
-    c = exactq.parse_rational(lines[1].split(None, 1)[1])
+    try:
+        c = exactq.parse_rational(lines[1][len("bound "):])
+    except ValueError as e:
+        raise ValueError(f"line 2: {e}")
     head = lines[2].split()
     if len(head) != 3:
         raise ValueError("line 3: expected 'k m dimQ'")
@@ -573,15 +587,20 @@ def parse_certificate(text: str) -> Certificate:
     body = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
     if len(body) != dim + m:
         raise ValueError(f"expected {dim + m} matrix rows, got {len(body)}")
+    values: dict = {}  # token -> value
 
     def parse_row(ln_no: int, ln: str, width: int):
         toks = ln.split()
         if len(toks) != width:
             raise ValueError(f"line {ln_no}: expected {width} entries, got {len(toks)}")
-        try:
-            return tuple(exactq.parse_rational(t) for t in toks)
-        except ValueError as e:
-            raise ValueError(f"line {ln_no}: {e}")
+        for t in toks:
+            if t not in values:
+                try:
+                    x = exactq.parse_rational(t)
+                except ValueError as e:
+                    raise ValueError(f"line {ln_no}: {e}")
+                values[t] = x if x else _ZERO
+        return tuple(map(values.__getitem__, toks))
 
     Q = tuple(parse_row(no, ln, dim) for no, ln in body[:dim])
     T = tuple(parse_row(no, ln, m) for no, ln in body[dim:])

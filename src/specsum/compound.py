@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .exactq import QMatrix
+from .exactq import _ZERO, QMatrix, _as_fraction
 
 
 def wedge_pairs(n: int) -> list[tuple[int, int]]:
@@ -59,7 +59,10 @@ def psi(M):
     """Second additive compound on the wedge basis.
 
     Float input: the literal P^T (M x I + I x M) P product.
-    Rational input (lists of Fraction): the exact entrywise formula.
+    Rational input (lists of Fraction): the exact entrywise formula, summed
+    over the nonzero entries of M only; an entry of the output that no
+    entry of M reaches, which covers every pair of wedge pairs sharing no
+    index, is the one shared exactq._ZERO.
     """
     if _is_float_matrix(M):
         M = np.asarray(M, dtype=float)
@@ -71,26 +74,25 @@ def psi(M):
         B = wedge_basis(n)
         N = numerics.kron(M, np.eye(n)) + numerics.kron(np.eye(n), M)
         return B.P.T @ N @ B.P
-    rows = [[Fraction(x) for x in row] for row in M]
+    rows = [[_as_fraction(x) for x in row] for row in M]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("M must be square")
     if n < 2:
         raise ValueError("psi needs dim >= 2")
     pairs = wedge_pairs(n)
-    out: QMatrix = [[Fraction(0)] * len(pairs) for _ in pairs]
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            v = Fraction(0)
-            if j == l:
-                v += rows[i - 1][k - 1]
-            if i == k:
-                v += rows[j - 1][l - 1]
-            if j == k:
-                v -= rows[i - 1][l - 1]
-            if i == l:
-                v -= rows[j - 1][k - 1]
-            out[a][b] = v
+    index = {p: a for a, p in enumerate(pairs)}
+    out: QMatrix = [[_ZERO] * len(pairs) for _ in pairs]
+    # M_xy lands on the pairs (x, t) and (y, t) for every t outside {x, y},
+    # with sign - when t lies between x and y
+    for x, row in enumerate(rows, 1):
+        for y, v in enumerate(row, 1):
+            if not v:
+                continue
+            for t in range(1, n + 1):
+                if t != x and t != y:
+                    a, b = index[min(x, t), max(x, t)], index[min(y, t), max(y, t)]
+                    out[a][b] += v if (x < t) == (y < t) else -v
     return out
 
 

@@ -224,3 +224,61 @@ def spot_check_loop(base, c, samples: int = 1000, seed: int = 0) -> float:
         w = np.linalg.eigvalsh(cI - compound.psi(A * np.outer(x, x)))
         worst = min(worst, float(w[0]))
     return worst
+
+
+def dense_verify_identity(cert, p, max_report: int = 20):
+    """Compare both sides of the SOS identity entry by entry over every
+    entry of every coefficient block, with the dense right-hand sides p.R
+    and p.F of an assembled problem for the certificate's base and bound.
+    Returns (ok, violations capped at max_report, entries compared).
+
+    The support-based certify.verify_identity is checked against it.
+    """
+    m, k = p.m, p.k
+    Q, T = cert.Q, cert.T
+    bad = []
+    checked = 0
+
+    def blk(a, b, r, s):
+        return Q[a * m + r][b * m + s]
+
+    for r in range(p.dim):
+        for s in range(r + 1, p.dim):
+            checked += 1
+            if Q[r][s] != Q[s][r]:
+                bad.append(("sym(Q)", r, s, Q[r][s], Q[s][r]))
+    for r in range(m):
+        for s in range(r + 1, m):
+            checked += 1
+            if T[r][s] != T[s][r]:
+                bad.append(("sym(T)", r, s, T[r][s], T[s][r]))
+    for r in range(m):
+        for s in range(m):
+            checked += 1
+            want = p.c if r == s else Fraction(0)
+            got = blk(0, 0, r, s) + T[r][s]
+            if got != want:
+                bad.append(("1", r, s, got, want))
+    for i in range(1, k + 1):
+        Ri = p.R[i - 1]
+        for r in range(m):
+            for s in range(m):
+                checked += 2
+                got = blk(0, i, r, s) + blk(i, 0, r, s)
+                if got != 0:
+                    bad.append((f"x_{i}", r, s, got, Fraction(0)))
+                # x_i^2: Q_ii - T = R_i - c*I
+                want = Ri[r][s] - (p.c if r == s else Fraction(0))
+                got = blk(i, i, r, s) - T[r][s]
+                if got != want:
+                    bad.append((f"x_{i}^2", r, s, got, want))
+    for i, j in p.pairs:
+        Fm = p.F[(i, j)]
+        for r in range(m):
+            for s in range(m):
+                checked += 1
+                got = blk(i, j, r, s) + blk(j, i, r, s)
+                want = 2 * Fm[r][s]
+                if got != want:
+                    bad.append((f"x_{i}*x_{j}", r, s, got, want))
+    return not bad, tuple(bad[:max_report]), checked

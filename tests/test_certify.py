@@ -1,13 +1,16 @@
+import dataclasses
 import functools
 import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsum import certify as ct
-from specsum import exactq
-from oracles import spot_check_loop
+from specsum import compound, exactq
+from oracles import dense_verify_identity, spot_check_loop
 
 C87 = Fraction(8, 7)
 
@@ -48,6 +51,36 @@ def block_mask(p):
         for idx in B:
             M[np.ix_(idx, idx)] = True
     return M
+
+
+@functools.lru_cache(maxsize=None)
+def problem(name, c):
+    return ct.assemble(ct.cert_base(name), c)
+
+
+def replace_entries(cert, Q=(), T=()):
+    """cert with Q[t][u] += d for each (t, u, d) in Q, and likewise T."""
+    out = {}
+    for key, edits in (("Q", Q), ("T", T)):
+        M = [list(row) for row in getattr(cert, key)]
+        for t, u, d in edits:
+            M[t][u] += d
+        out[key] = tuple(map(tuple, M))
+    return dataclasses.replace(cert, **out)
+
+
+def perturbed(cert):
+    """Q[0][0] moved by 1/10^6: the constant coefficient stops matching."""
+    return replace_entries(cert, Q=[(0, 0, Fraction(1, 10 ** 6))])
+
+
+def negdiag(cert):
+    """Q_00 - lam I, T + lam I and Q_ii + lam I: every coefficient equation
+    still holds, and a diagonal entry of Q_00 is -1."""
+    m = cert.m
+    lam = min(cert.Q[r][r] for r in range(m)) + 1
+    return replace_entries(cert, Q=[(t, t, -lam if t < m else lam) for t in range(len(cert.Q))],
+                           T=[(r, r, lam) for r in range(m)])
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +127,34 @@ class TestAssemble:
     def test_unknown_base(self):
         with pytest.raises(ValueError):
             ct.cert_base("K3")
+
+    @pytest.mark.parametrize("name", ["K2", "P3", "P4", "H5", "H6"])
+    def test_right_hand_sides_match_additive_compound(self, name):
+        # additive_compound(., 2) builds psi by another route
+        p = ct.assemble(ct.cert_base(name), C87)
+        A = p.candidate.graph.adjacency()
+        cI = [[C87 if r == s else 0 for s in range(p.m)] for r in range(p.m)]
+
+        def term(i, j):  # -A_ij psi(E_ij + E_ji), E_ii once for i = j
+            E = [[Fraction(0)] * p.k for _ in range(p.k)]
+            E[i - 1][j - 1] = E[j - 1][i - 1] = Fraction(1)
+            return [[-int(A[i - 1, j - 1]) * x for x in row]
+                    for row in compound.additive_compound(E, 2)]
+
+        def support(M):
+            return {(r, s): x for r, row in enumerate(M) for s, x in enumerate(row) if x}
+
+        assert p.rhs["1"] == support(cI)
+        for i in range(1, p.k + 1):
+            sq = term(i, i)
+            assert p.rhs[f"x_{i}"] == {}
+            assert p.rhs[f"x_{i}^2"] == support(sq)
+            assert [list(row) for row in p.R[i - 1]] == \
+                [[a + b for a, b in zip(*rows)] for rows in zip(cI, sq)]
+        for i, j in p.pairs:
+            two_f = term(i, j)
+            assert p.rhs[f"x_{i}*x_{j}"] == support(two_f)
+            assert [list(row) for row in p.F[(i, j)]] == [[x / 2 for x in row] for row in two_f]
 
 
 class TestSignBlocks:
@@ -237,6 +298,53 @@ class TestVerifyIdentity:
         rep = ct.verify_identity(ct.Certificate("H6", C87, p.k, p.m, zq, zt))
         assert not rep.ok
 
+    @pytest.mark.parametrize("name", ["P3", "P4", "H5", "H6"])
+    def test_hostile_certificates_match_dense_oracle(self, name):
+        cert = certified(name, C87).certificate
+        p = problem(name, C87)
+        for bad, ok in ((perturbed(cert), False), (negdiag(cert), True)):
+            rep = ct.verify_identity(bad, problem=p, max_report=10 ** 6)
+            want_ok, want_bad, dense_checked = dense_verify_identity(bad, p, max_report=10 ** 6)
+            assert rep.ok == want_ok == ok
+            assert rep.violations == want_bad
+            assert 0 < rep.checked < dense_checked
+        assert ct.verify_psd(negdiag(cert)).verdict == exactq.NOT_PSD
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["P3", "P4", "H5"]),
+           kind=st.sampled_from(["q_entry", "q_pair", "t_entry", "off_block", "skew_0i"]),
+           picks=st.tuples(*[st.integers(0, 10 ** 6)] * 3),
+           delta=st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool))
+    def test_mutations_match_dense_oracle(self, name, kind, picks, delta):
+        cert = certified(name, C87).certificate
+        p = problem(name, C87)
+        t, u, w = picks
+        if kind == "q_entry":
+            bad = replace_entries(cert, Q=[(t % p.dim, u % p.dim, delta)])
+        elif kind == "q_pair":
+            t, u = t % p.dim, u % p.dim
+            bad = replace_entries(cert, Q=[(t, u, delta)] + [(u, t, delta)] * (t != u))
+        elif kind == "t_entry":
+            bad = replace_entries(cert, T=[(t % p.m, u % p.m, delta)])
+        elif kind == "off_block":
+            off = np.argwhere(~block_mask(p))
+            t, u = off[t % len(off)].tolist()
+            bad = replace_entries(cert, Q=[(t, u, delta)] + [(u, t, delta)] * (t != u))
+        else:  # a skew pair of Q_0i with its mirror in Q_i0: the identity holds
+            i, r, s = 1 + w % p.k, t % p.m, u % p.m
+            o = i * p.m
+            bad = replace_entries(cert, Q=[(r, o + s, delta), (o + s, r, delta),
+                                           (s, o + r, -delta), (o + r, s, -delta)])
+        rep = ct.verify_identity(bad, problem=p, max_report=10 ** 6)
+        want_ok, want_bad, dense_checked = dense_verify_identity(bad, p, max_report=10 ** 6)
+        assert rep.ok == want_ok
+        assert rep.violations == want_bad
+        assert rep.checked <= dense_checked
+        if kind == "skew_0i":
+            assert rep.ok
+        capped = ct.verify_identity(bad, problem=p)
+        assert capped.violations == want_bad[:20]
+
 
 class TestVerifyPsd:
     def test_pipeline_output_is_psd(self, p3_result):
@@ -362,6 +470,35 @@ class TestCertificateIO:
         good = "candidate K2\nbound 1/1\n2 1 3\n0/1 0/1 0/1\n0/1 0/1 0/1\n"
         with pytest.raises(ValueError, match="rows"):
             ct.parse_certificate(good)  # truncated body
+        with pytest.raises(ValueError, match="line 1"):
+            ct.parse_certificate("candidate \nbound 1/1\n2 1 3\n")
+        with pytest.raises(ValueError, match="line 2"):
+            ct.parse_certificate("candidate K2\nbound \n2 1 3\n")
+
+    @staticmethod
+    def k2(q_rows, t_row="1/1"):
+        return "candidate K2\nbound 1/1\n2 1 3\n" + "\n".join(q_rows) + f"\n{t_row}\n"
+
+    def test_zeros_are_the_shared_zero(self):
+        cert = ct.parse_certificate(self.k2(["0 -0/3 0.0e5", "-0/3 0 0/1", "0.0e5 0/1 0"], "0"))
+        assert all(x is exactq._ZERO for row in cert.Q + cert.T for x in row)
+
+    def test_repeated_tokens_parse_to_their_values(self):
+        cert = ct.parse_certificate(self.k2(["3/7 -2.5e-1 3/7", "-2.5e-1 3/7 3/7",
+                                             "3/7 3/7 -2.5e-1"], "3/7"))
+        a, b = Fraction(3, 7), Fraction(-1, 4)
+        assert cert.Q == ((a, b, a), (b, a, a), (a, a, b)) and cert.T == ((a,),)
+
+    def test_bad_token_refused_on_its_line(self):
+        # "1_0/1" reads as 10 with Fraction() on Python >= 3.11; the map is
+        # keyed by the text, so "10/1" on an earlier line does not admit it
+        with pytest.raises(ValueError, match=r"line 5: bad rational '1_0/1'"):
+            ct.parse_certificate(self.k2(["10/1 0 0", "0 1_0/1 0", "0 0 0"]))
+        # the same bad token twice: refused where it first appears
+        with pytest.raises(ValueError, match=r"line 5: bad rational '1_0/1'"):
+            ct.parse_certificate(self.k2(["0 0 0", "0 1_0/1 0", "0 1_0/1 0"]))
+        with pytest.raises(ValueError, match=r"line 7: bad rational '1_0/1'"):
+            ct.parse_certificate(self.k2(["1 0 0", "0 0 0", "0 0 0"], "1_0/1"))
 
 
 class TestSoundness:

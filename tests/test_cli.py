@@ -206,6 +206,16 @@ class TestCertifyVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # a header keyword with no value after it
+    @pytest.mark.parametrize("head,line", [("candidate \nbound 1/1\n", 1),
+                                           ("candidate K2\nbound \n", 2)],
+                             ids=["candidate", "bound"])
+    def test_verify_refuses_empty_header_value(self, capsys, tmp_path, head, line):
+        f = tmp_path / "h.txt"
+        f.write_text(head + "2 1 3\n" + "0/1 0/1 0/1\n" * 3 + "1/1\n")
+        assert cli.main(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}") and len(err.splitlines()) == 1
 
     def test_verify_refuses_fullwidth_header(self, capsys, tmp_path):
         # int() takes "３" (fullwidth three); header integers are ASCII only
