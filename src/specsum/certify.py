@@ -35,7 +35,9 @@ The pipeline solves the PSD feasibility problem on the blocks by
 Douglas-Rachford projection splitting, rounds the free parameters inside
 the blocks to bounded-denominator rationals, reconstructs the dependent
 entries exactly (so the identity holds over Q by construction), and
-verifies PSD by exact LDL^T. The exact checks do not rely on the blocks:
+verifies PSD by exact LDL^T. The exact checks live in `check`, which
+imports no numpy; this module re-exports them and the certificate format.
+They do not rely on the blocks:
 the identity is compared entry by entry wherever either side of an
 equation is nonzero (everywhere else both sides are exactly 0), and the
 LDL^T splits Q only into the connected components of its nonzero pattern.
@@ -50,28 +52,26 @@ tried first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import compound, exactq
+from . import check, compound, exactq
+from .check import (Certificate, IdentityReport, format_certificate,  # noqa: F401
+                    parse_certificate, verify_identity, verify_psd)
 from .exactq import _ZERO, QMatrix
 from .graphs import graph
-from .stepmodel import CANDIDATES, CandidateGraph
+from .stepmodel import CandidateGraph
 
-#: bases accepted by name in certificate files; the four candidates plus a
-#: 2-vertex looped edge whose certificate at c = 1 is trivial (Q = 0, T = [1])
-CERT_BASES: dict[str, CandidateGraph] = dict(CANDIDATES)
-CERT_BASES["K2"] = CandidateGraph("K2", graph(2, [(1, 1), (2, 2), (1, 2)]))
+#: bases accepted by name in certificate files: check.BASES as graphs
+CERT_BASES: dict[str, CandidateGraph] = {
+    name: CandidateGraph(name, graph(k, edges)) for name, (k, edges) in check.BASES.items()}
 
 
 def cert_base(name: str) -> CandidateGraph:
-    try:
-        return CERT_BASES[name]
-    except KeyError:
-        raise ValueError(f"unknown certificate base {name!r}; have {sorted(CERT_BASES)}")
+    check.base(name)  # refuses an unknown name
+    return CERT_BASES[name]
 
 
 @dataclass(frozen=True)
@@ -159,33 +159,19 @@ def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray,
                        skew=skew)
 
 
-def _support(M) -> list:
-    """(row, col) of every nonzero entry of a square matrix, row-major."""
-    cols = range(len(M))
-    return [(r, s) for r, row in enumerate(M) for s in itertools.compress(cols, row)]
-
-
 def assemble(cand: CandidateGraph, c) -> SosProblem:
-    """Exact right-hand sides of the coefficient equations for a base graph,
-    and the sign blocks of Q. Fraction arithmetic touches only the nonzero
-    entries; a non-edge's F is the all-zero matrix."""
+    """Exact right-hand sides of the coefficient equations for a base graph
+    (check.coefficient_rhs, calling psi as compound.psi), R_i and F_ij from
+    them, and the sign blocks of Q. Fraction arithmetic touches only the
+    nonzero entries; a non-edge's F is the all-zero matrix."""
     c = Fraction(c)
     k = cand.k
     if k < 2:
         raise ValueError("base graph needs at least 2 vertices")
-    pairs = tuple(itertools.combinations(range(1, k + 1), 2))
+    pairs = tuple(check.wedge_pairs(k))
     m = len(pairs)
     dim = (k + 1) * m
-
-    def edge_term(i, j) -> dict:
-        """-A_ij psi(E_ij + E_ji), E_ii once for i = j, on its nonzeros:
-        the right-hand side of x_i x_j, or of x_i^2 (it is R_i - c*I)."""
-        if (i, j) not in cand.graph.edges:
-            return {}
-        E = [[_ZERO] * k for _ in range(k)]
-        E[i - 1][j - 1] = E[j - 1][i - 1] = Fraction(-1)
-        P = compound.psi(E)
-        return {(r, s): P[r][s] for r, s in _support(P)}
+    rhs = check.coefficient_rhs(k, cand.graph.edges, c, compound.psi)
 
     def dense(entries: dict, out: np.ndarray) -> tuple:
         """entries as an m x m matrix, 0 elsewhere; also written into out as floats."""
@@ -195,19 +181,15 @@ def assemble(cand: CandidateGraph, c) -> SosProblem:
             out[r, s] = float(x)
         return tuple(map(tuple, M))
 
-    rhs = {"1": {(r, r): c for r in range(m)} if c else {}}
     R, R_f = [], np.zeros((k, m, m))
     for i in range(1, k + 1):
-        rhs[f"x_{i}"] = {}
-        sq = rhs[f"x_{i}^2"] = edge_term(i, i)
-        Ri = {(r, r): c for r in range(m)}
-        for key, x in sq.items():
+        Ri = {(r, r): c for r in range(m)}  # R_i - c*I is the x_i^2 right-hand side
+        for key, x in rhs[f"x_{i}^2"].items():
             Ri[key] = Ri[key] + x if key in Ri else x
         R.append(dense(Ri, R_f[i - 1]))
     F, F_dense = {}, np.zeros((dim, dim))
     for i, j in pairs:
-        two_f = rhs[f"x_{i}*x_{j}"] = edge_term(i, j)
-        F[(i, j)] = dense({key: x / 2 for key, x in two_f.items()},
+        F[(i, j)] = dense({key: x / 2 for key, x in rhs[f"x_{i}*x_{j}"].items()},
                           F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m])
     blocks = _sign_blocks(k, pairs)
     return SosProblem(candidate=cand, c=c, k=k, m=m, dim=dim, pairs=pairs,
@@ -314,16 +296,6 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
     return SolveResult(status, Q, T, it, aff, psd)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    candidate: str
-    c: Fraction
-    k: int
-    m: int
-    Q: tuple  # ((k+1)m)^2 Fractions, row tuples
-    T: tuple
-
-
 def _freeze(M: QMatrix) -> tuple:
     return tuple(tuple(row) for row in M)
 
@@ -362,91 +334,6 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int = 10 ** 4) -> Cer
         Q[t2][u2] = Q[u2][t2] = Fm[s][r] - v
     return Certificate(candidate=p.candidate.name, c=p.c, k=k, m=m,
                        Q=_freeze(Q), T=_freeze(T))
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    ok: bool
-    violations: tuple  # (coefficient, row, col, got, want), capped
-    checked: int  # entries compared explicitly: the union of supports
-
-
-def verify_identity(cert: Certificate, problem: SosProblem = None,
-                    max_report: int = 20) -> IdentityReport:
-    """Exact coefficientwise comparison of both sides of the identity.
-
-    Expands V(x)^T Q V(x) + (1-|x|^2) T and c*I - psi(M*(x)) as quadratic
-    matrix polynomials and compares the constant, x_i, x_i^2 and x_i x_j
-    coefficients over the rationals. Also checks exact symmetry of Q and T.
-    The right-hand sides come from `problem` when given (it must be for the
-    certificate's base and bound), else from assembling the named base at
-    cert.c.
-
-    One pass collects the nonzeros of Q and T. Each equation, symmetry
-    included, is compared on the union of the supports of its two sides:
-    the nonzeros of the blocks of Q and T it reads and of its right-hand
-    side. Off that union every term on both sides is exactly 0, so the
-    check is complete; `checked` counts the entries on the unions.
-    Violations come in the order of a dense row-major scan.
-    """
-    if problem is None:
-        problem = assemble(cert_base(cert.candidate), cert.c)
-    elif (problem.candidate.name, problem.c) != (cert.candidate, cert.c):
-        raise ValueError(f"problem is for {problem.candidate.name} at {problem.c}, "
-                         f"certificate for {cert.candidate} at {cert.c}")
-    p = problem
-    if cert.k != p.k or cert.m != p.m:
-        return IdentityReport(False, (("dims", 0, 0, (cert.k, cert.m), (p.k, p.m)),), 0)
-    Q, T = cert.Q, cert.T
-    if len(Q) != p.dim or any(len(r) != p.dim for r in Q) or \
-            len(T) != p.m or any(len(r) != p.m for r in T):
-        return IdentityReport(False, (("shape", 0, 0, (len(Q), len(T)), (p.dim, p.m)),), 0)
-    m, k = p.m, p.k
-    q_nz, t_nz = _support(Q), set(_support(T))
-    bad = []
-    checked = 0
-    for name, M, nz in (("sym(Q)", Q, q_nz), ("sym(T)", T, t_nz)):
-        keys = sorted({(min(r, s), max(r, s)) for r, s in nz if r != s})
-        checked += len(keys)
-        bad += [(name, r, s, M[r][s], M[s][r]) for r, s in keys if M[r][s] != M[s][r]]
-    blk: dict = {}
-    for t, u in q_nz:
-        blk.setdefault((t // m, u // m), set()).add((t % m, u % m))
-
-    def on(a, b) -> set:
-        return blk.get((a, b), set())
-
-    def check(name, keys, got) -> list:
-        nonlocal checked
-        want = p.rhs[name]
-        keys = sorted(keys | want.keys())
-        checked += len(keys)
-        out = []
-        for r, s in keys:
-            g, w = got(r, s), want.get((r, s), _ZERO)
-            if g != w:
-                out.append((name, r, s, g, w))
-        return out
-
-    bad += check("1", on(0, 0) | t_nz, lambda r, s: Q[r][s] + T[r][s])
-    for i in range(1, k + 1):
-        o = i * m
-        # a dense scan meets x_i and x_i^2 entry by entry
-        bad += sorted(check(f"x_{i}", on(0, i) | on(i, 0),
-                            lambda r, s: Q[r][o + s] + Q[o + r][s])
-                      + check(f"x_{i}^2", on(i, i) | t_nz,
-                              lambda r, s: Q[o + r][o + s] - T[r][s]),
-                      key=lambda v: v[1:3])
-    for i, j in p.pairs:
-        oi, oj = i * m, j * m
-        bad += check(f"x_{i}*x_{j}", on(i, j) | on(j, i),
-                     lambda r, s: Q[oi + r][oj + s] + Q[oj + r][oi + s])
-    return IdentityReport(ok=not bad, violations=tuple(bad[:max_report]), checked=checked)
-
-
-def verify_psd(cert: Certificate) -> exactq.PsdWitness:
-    """Exact PSD check of Q by rational LDL^T with rank-one re-multiplication."""
-    return exactq.ldl_psd_check([list(row) for row in cert.Q])
 
 
 def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
@@ -541,67 +428,3 @@ def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) ->
         tol /= 10
     stage = "sdp_solve" if (solve and solve.status != "CONVERGED" and not attempts) else "verify_psd"
     return CertifyResult("NOT_FOUND", None, solve, tuple(attempts), stage=stage)
-
-
-# --- certificate text format ---------------------------------------------
-# line 1: "candidate <name>"; line 2: "bound p/q"; line 3: "k m dimQ";
-# then dimQ rows of dimQ rationals (Q), then m rows of m rationals (T).
-
-def format_certificate(cert: Certificate) -> str:
-    def row_text(row) -> str:
-        return " ".join([exactq.format_rational(x) if x else "0/1" for x in row])
-
-    lines = [f"candidate {cert.candidate}",
-             f"bound {exactq.format_rational(cert.c)}",
-             f"{cert.k} {cert.m} {len(cert.Q)}"]
-    lines += map(row_text, cert.Q)
-    lines += map(row_text, cert.T)
-    return "\n".join(lines) + "\n"
-
-
-def parse_certificate(text: str) -> Certificate:
-    """Read the certificate format; any deviation raises ValueError naming
-    the line. Each distinct matrix token is read by exactq.parse_rational
-    once per call, and every zero is the shared exactq._ZERO."""
-    lines = text.splitlines()
-    if len(lines) < 3:
-        raise ValueError("line 1: truncated certificate")
-    name = lines[0][len("candidate "):].strip() if lines[0].startswith("candidate ") else ""
-    if not name:
-        raise ValueError("line 1: expected 'candidate <name>'")
-    if not lines[1].startswith("bound "):
-        raise ValueError("line 2: expected 'bound p/q'")
-    try:
-        c = exactq.parse_rational(lines[1][len("bound "):])
-    except ValueError as e:
-        raise ValueError(f"line 2: {e}")
-    head = lines[2].split()
-    if len(head) != 3:
-        raise ValueError("line 3: expected 'k m dimQ'")
-    try:
-        k, m, dim = (exactq.parse_int(t) for t in head)
-    except ValueError:
-        raise ValueError("line 3: expected integers 'k m dimQ'")
-    if dim != (k + 1) * m:
-        raise ValueError(f"line 3: dimQ must be (k+1)*m = {(k + 1) * m}, got {dim}")
-    body = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
-    if len(body) != dim + m:
-        raise ValueError(f"expected {dim + m} matrix rows, got {len(body)}")
-    values: dict = {}  # token -> value
-
-    def parse_row(ln_no: int, ln: str, width: int):
-        toks = ln.split()
-        if len(toks) != width:
-            raise ValueError(f"line {ln_no}: expected {width} entries, got {len(toks)}")
-        for t in toks:
-            if t not in values:
-                try:
-                    x = exactq.parse_rational(t)
-                except ValueError as e:
-                    raise ValueError(f"line {ln_no}: {e}")
-                values[t] = x if x else _ZERO
-        return tuple(map(values.__getitem__, toks))
-
-    Q = tuple(parse_row(no, ln, dim) for no, ln in body[:dim])
-    T = tuple(parse_row(no, ln, m) for no, ln in body[dim:])
-    return Certificate(candidate=name, c=c, k=k, m=m, Q=Q, T=T)

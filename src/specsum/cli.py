@@ -4,6 +4,9 @@ Commands: spectrum, search, optimize, certify, verify, compound. Output is
 machine-parseable `key: value` lines (append --human for formatted tables);
 every command is deterministic under a fixed --seed (default: env SSC_SEED,
 else 0). Exit codes: 0 success/PASS, 1 FAIL/NOT_FOUND, 2 usage/parse error.
+
+The parser needs only `check`'s base table, and each command imports the
+modules it uses, so `ssc verify` runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,10 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import certify as certify_mod
-from . import compound, exactq, graphs, numerics, stepmodel
+from . import check, exactq
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ def _f(x) -> str:
 
 
 def _vec(v) -> str:
+    import numpy as np
+
     return " ".join(_f(x) for x in np.asarray(v).ravel())
 
 
@@ -63,6 +65,8 @@ def _resolve_seed(seed) -> int:
 
 
 def cmd_spectrum(path: str) -> RunReport:
+    from . import graphs
+
     t0 = time.perf_counter()
     G = graphs.read_graph(_read_text(path))
     s = graphs.spectral_sum(G)
@@ -77,6 +81,8 @@ def cmd_spectrum(path: str) -> RunReport:
 
 
 def cmd_search(n: int, mode: str) -> RunReport:
+    from . import graphs
+
     t0 = time.perf_counter()
     G, val = graphs.search_extremal(n, mode)
     A = G.adjacency()
@@ -89,7 +95,11 @@ def cmd_search(n: int, mode: str) -> RunReport:
                      time.perf_counter() - t0, human=graphs.format_graph(G))
 
 
-def _parse_weights(text: str, k: int) -> np.ndarray:
+def _parse_weights(text: str, k: int):
+    import numpy as np
+
+    from . import numerics
+
     toks = [t for t in text.split(",") if t.strip()]
     if len(toks) != k:
         raise ValueError(f"expected {k} comma-separated weights, got {len(toks)}")
@@ -98,6 +108,8 @@ def _parse_weights(text: str, k: int) -> np.ndarray:
 
 def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
                  weights: str | None = None) -> RunReport:
+    from . import stepmodel
+
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
     cand = stepmodel.candidate(name)
@@ -136,6 +148,8 @@ def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
 def cmd_certify(name: str, bound: str = "8/7", max_den: int = 10 ** 4,
                 tol: float = 1e-9, max_iter: int = 50000,
                 seed: int | None = None, out: str | None = None) -> RunReport:
+    from . import certify as certify_mod
+
     t0 = time.perf_counter()
     seed = _resolve_seed(seed)
     cand = certify_mod.cert_base(name)
@@ -170,13 +184,13 @@ def cmd_verify(path: str) -> RunReport:
     """Exact verdict from file contents alone: parse, re-derive the
     coefficient equations for the named base, compare over Q, then LDL^T."""
     t0 = time.perf_counter()
-    cert = certify_mod.parse_certificate(_read_text(path))
-    certify_mod.cert_base(cert.candidate)  # unknown name -> usage error
+    cert = check.parse_certificate(_read_text(path))
+    check.base(cert.candidate)  # unknown name -> usage error
     results = [("candidate", cert.candidate),
                ("bound", exactq.format_rational(cert.c)),
                ("k", str(cert.k)), ("m", str(cert.m)),
                ("dimQ", str(len(cert.Q)))]
-    idr = certify_mod.verify_identity(cert)
+    idr = check.verify_identity(cert)
     results.append(("identity", "PASS" if idr.ok else "FAIL"))
     for coeff, r, s, got, want in idr.violations[:5]:
         results.append(("identity_violation",
@@ -184,14 +198,13 @@ def cmd_verify(path: str) -> RunReport:
                         f"got {got}, want {want}"))
     ok = idr.ok
     if idr.ok:
-        wit = certify_mod.verify_psd(cert)
+        wit = check.verify_psd(cert)
         results.append(("psd", wit.verdict))
         if wit.verdict != exactq.PSD:
             ok = False
             z = " ".join(exactq.format_rational(x) for x in wit.counterexample)
             results.append(("psd_counterexample", z))
-            results.append(("psd_value", exactq.format_rational(
-                exactq.q_eval([list(row) for row in cert.Q], list(wit.counterexample)))))
+            results.append(("psd_value", exactq.format_rational(wit.value)))
     else:
         results.append(("psd", "SKIPPED"))
     results.append(("verdict", "PASS" if ok else "FAIL"))
@@ -200,6 +213,8 @@ def cmd_verify(path: str) -> RunReport:
 
 
 def cmd_compound(path: str, k: int) -> RunReport:
+    from . import compound, numerics
+
     t0 = time.perf_counter()
     text = _read_text(path)
     try:
@@ -238,15 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive extremal search over graphs")
     p.add_argument("n", type=int)
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--max", dest="mode", action="store_const",
-                   const=graphs.MAX, help="maximize the spectral sum")
+    # graphs.MAX and graphs.MIN_CONNECTED, spelled out: graphs loads numpy
+    g.add_argument("--max", dest="mode", action="store_const", const="MAX",
+                   help="maximize the spectral sum")
     g.add_argument("--min-connected", dest="mode", action="store_const",
-                   const=graphs.MIN_CONNECTED,
-                   help="minimize over connected graphs")
+                   const="MIN_CONNECTED", help="minimize over connected graphs")
     p.set_defaults(run=lambda a: cmd_search(a.n, a.mode))
 
     p = sub.add_parser("optimize", help="maximize sigma over simplex weights")
-    p.add_argument("candidate", choices=sorted(stepmodel.CANDIDATES))
+    p.add_argument("candidate", choices=sorted(check.CANDIDATES))
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--weights", default=None, metavar="W1,W2,...",
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                                               seed=a.seed, weights=a.weights))
 
     p = sub.add_parser("certify", help="produce an exact SOS certificate")
-    p.add_argument("candidate", choices=sorted(certify_mod.CERT_BASES))
+    p.add_argument("candidate", choices=sorted(check.BASES))
     p.add_argument("--bound", default="8/7")
     p.add_argument("--max-den", type=int, default=10 ** 4)
     p.add_argument("--tol", type=float, default=1e-9)

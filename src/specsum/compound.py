@@ -23,12 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import numerics
-from .exactq import _ZERO, QMatrix, _as_fraction
-
-
-def wedge_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(1, n + 1), 2))
+from . import check, numerics
+from .check import wedge_pairs
+from .exactq import QMatrix
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,8 @@ def psi(M):
     """Second additive compound on the wedge basis.
 
     Float input: the literal P^T (M x I + I x M) P product.
-    Rational input (lists of Fraction): the exact entrywise formula, summed
-    over the nonzero entries of M only; an entry of the output that no
-    entry of M reaches, which covers every pair of wedge pairs sharing no
-    index, is the one shared exactq._ZERO.
+    Rational input (lists of Fraction): the exact entrywise formula, as
+    check.psi computes it.
     """
     if _is_float_matrix(M):
         M = np.asarray(M, dtype=float)
@@ -74,26 +69,7 @@ def psi(M):
         B = wedge_basis(n)
         N = numerics.kron(M, np.eye(n)) + numerics.kron(np.eye(n), M)
         return B.P.T @ N @ B.P
-    rows = [[_as_fraction(x) for x in row] for row in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("M must be square")
-    if n < 2:
-        raise ValueError("psi needs dim >= 2")
-    pairs = wedge_pairs(n)
-    index = {p: a for a, p in enumerate(pairs)}
-    out: QMatrix = [[_ZERO] * len(pairs) for _ in pairs]
-    # M_xy lands on the pairs (x, t) and (y, t) for every t outside {x, y},
-    # with sign - when t lies between x and y
-    for x, row in enumerate(rows, 1):
-        for y, v in enumerate(row, 1):
-            if not v:
-                continue
-            for t in range(1, n + 1):
-                if t != x and t != y:
-                    a, b = index[min(x, t), max(x, t)], index[min(y, t), max(y, t)]
-                    out[a][b] += v if (x < t) == (y < t) else -v
-    return out
+    return check.psi(M)
 
 
 def additive_compound(M, k: int):

@@ -8,6 +8,8 @@ value in lowest terms after each operation, which is the growth control.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,12 +25,14 @@ NOT_PSD = "NOT_PSD"
 class PsdWitness:
     """PSD: Q = sum_r d_r w_r w_r^T exactly with d_r > 0.
 
-    NOT_PSD: counterexample z with z^T Q z an exactly negative rational.
+    NOT_PSD: counterexample z with z^T Q z = value, an exactly negative
+    rational.
     """
 
     verdict: str
     decomposition: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
     counterexample: tuple[Fraction, ...] = ()
+    value: Fraction | None = None
 
 
 _ZERO = Fraction(0)
@@ -39,18 +43,34 @@ def _as_fraction(x) -> Fraction:
     return x if x else _ZERO
 
 
-def as_qmatrix(rows: Sequence[Sequence]) -> QMatrix:
-    """Square symmetric matrix of Fractions; every zero entry is one shared
-    object, so comparing rows skips them by identity."""
-    Q = [[_as_fraction(x) for x in row] for row in rows]
-    n = len(Q)
-    if any(len(row) != n for row in Q):
-        raise ValueError("matrix is not square")
-    for i, col in enumerate(zip(*Q)):
-        if Q[i][:i] != list(col[:i]):
-            j = next(j for j in range(i) if Q[i][j] != Q[j][i])
-            raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    return Q
+def nonzero_cols(row: Sequence) -> list[int]:
+    """Indices of the nonzero entries of a row. Entries that are the shared
+    _ZERO are passed over by identity in C; only the others are tested,
+    since the truth test of a Fraction is Python code."""
+    maybe = itertools.compress(range(len(row)),
+                               map(operator.is_not, row, itertools.repeat(_ZERO)))
+    return [j for j in maybe if row[j]]
+
+
+def _nonzeros(rows: Sequence[Sequence]) -> list[dict[int, Fraction]]:
+    """The nonzero entries of a square symmetric matrix as Fractions, row by
+    row: {col: value}. Only these are converted and compared for symmetry."""
+    n = len(rows)
+    nz = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        out = {}
+        for j in nonzero_cols(row):
+            x = _as_fraction(row[j])
+            if x:
+                out[j] = x
+        nz.append(out)
+    bad = [(max(i, j), min(i, j)) for i, row in enumerate(nz) for j, x in row.items()
+           if (y := nz[j].get(i, _ZERO)) is not x and y != x]
+    if bad:
+        raise ValueError("matrix is not symmetric at (%d,%d)" % min(bad))
+    return nz
 
 
 def q_eval(Q: Sequence[Sequence[Fraction]], z: Sequence[Fraction]) -> Fraction:
@@ -82,17 +102,21 @@ def components(Q: Sequence[Sequence]) -> list[list[int]]:
     """Connected components of the nonzero pattern of a square matrix, each
     sorted, in the order of their least index. Q is the direct sum of its
     principal submatrices on them (up to a permutation)."""
-    n = len(Q)
-    seen = [False] * n
+    return _components([nonzero_cols(row) for row in Q])
+
+
+def _components(adj: Sequence) -> list[list[int]]:
+    """components, from the columns of the nonzero entries of each row."""
+    seen = [False] * len(adj)
     out = []
-    for root in range(n):
+    for root in range(len(adj)):
         if seen[root]:
             continue
         seen[root] = True
         comp, stack = [root], [root]
         while stack:
-            for j, x in enumerate(Q[stack.pop()]):
-                if x and not seen[j]:
+            for j in adj[stack.pop()]:
+                if not seen[j]:
                     seen[j] = True
                     comp.append(j)
                     stack.append(j)
@@ -174,36 +198,39 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     A negative remaining diagonal, or a zero diagonal with a nonzero entry
     in its row (indefinite 2x2 principal minor), yields a witness vector in
     residual coordinates that is pulled back through the recorded columns
-    and zero-extended; its quadratic form on Q must be negative.
+    and zero-extended; its quadratic form on Q must be negative, and is
+    returned as the witness's value.
+
+    Converting Q, splitting it into components and re-multiplying the
+    decomposition touch only nonzero entries. The re-multiplication is
+    compared with Q on the union of the two supports; off it both sides
+    are exactly 0, so every entry of Q is compared.
     """
-    Q = as_qmatrix(Q_in)
-    n = len(Q)
+    nz = _nonzeros(Q_in)
+    n = len(nz)
     decomp = []
-    for comp in components(Q):
-        cols, vals, y = _eliminate([[Q[i][j] for j in comp] for i in comp])
+    R = [{} for _ in range(n)]  # the re-multiplied decomposition, as nz
+    for comp in _components(nz):
+        cols, vals, y = _eliminate([[nz[i].get(j, _ZERO) for j in comp] for i in comp])
         if y is not None:
             z = [_ZERO] * n
             for i, yi in zip(comp, y):
                 z[i] = yi
-            if not q_eval(Q, z) < 0:
+            value = q_eval([[row.get(j, _ZERO) for j in range(n)] for row in nz], z)
+            if not value < 0:
                 raise ArithmeticError("internal error: witness is not negative")
-            return PsdWitness(verdict=NOT_PSD, counterexample=tuple(z))
+            return PsdWitness(verdict=NOT_PSD, counterexample=tuple(z), value=value)
         for c, d in zip(cols, vals):
+            support = [(i, ci) for i, ci in zip(comp, c) if ci]
             full = [_ZERO] * n
-            for i, ci in zip(comp, c):
+            for i, ci in support:
                 full[i] = ci
+                dci, Ri = d * ci, R[i]
+                for j, cj in support:
+                    Ri[j] = Ri.get(j, _ZERO) + dci * cj
             decomp.append((full, d))
-
-    # re-multiply the decomposition and compare with Q exactly
-    R = [[_ZERO] * n for _ in range(n)]
-    for c, d in decomp:
-        support = [t for t in range(n) if c[t] != 0]
-        for i in support:
-            dci = d * c[i]
-            Ri = R[i]
-            for j in support:
-                Ri[j] += dci * c[j]
-    if R != Q:
+    if any(Ri.get(j, _ZERO) != Qi.get(j, _ZERO)
+           for Ri, Qi in zip(R, nz) for j in Ri.keys() | Qi.keys()):
         raise ArithmeticError("internal error: decomposition does not re-multiply to Q")
     return PsdWitness(verdict=PSD, decomposition=tuple((tuple(c), d) for c, d in decomp))
 

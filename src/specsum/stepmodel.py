@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import check, numerics
 from .graphs import Graph, graph
 
 SIMPLEX_TOL = 1e-12
@@ -39,19 +39,9 @@ class CandidateGraph:
         return self.graph.n
 
 
-def _looped(n: int, edges) -> Graph:
-    return graph(n, list(edges) + [(i, i) for i in range(1, n + 1)])
-
-
+#: the four catalog bases, from check.CANDIDATES
 CANDIDATES: dict[str, CandidateGraph] = {
-    "P3": CandidateGraph("P3", _looped(3, [(1, 2), (2, 3)])),
-    "P4": CandidateGraph("P4", _looped(4, [(1, 2), (2, 3), (3, 4)])),
-    "H5": CandidateGraph("H5", _looped(5, [(1, 2), (1, 3), (2, 3), (2, 4),
-                                           (3, 4), (3, 5), (4, 5)])),
-    "H6": CandidateGraph("H6", _looped(6, [(1, 2), (1, 3), (2, 3), (2, 4),
-                                           (3, 4), (3, 5), (4, 5), (4, 6),
-                                           (5, 6)])),
-}
+    name: CandidateGraph(name, graph(k, edges)) for name, (k, edges) in check.CANDIDATES.items()}
 
 
 def candidate(name: str) -> CandidateGraph:

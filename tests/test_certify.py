@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import certify as ct
-from specsum import compound, exactq
+from specsum import check, cli, compound, exactq, graphs, stepmodel
 from oracles import dense_verify_identity, spot_check_loop
 
 C87 = Fraction(8, 7)
@@ -445,6 +445,61 @@ class TestCertify:
         assert ladder[0] == 7
         assert 21 in ladder and 10 ** 4 in ladder and 2 * 10 ** 4 in ladder
         assert ladder == sorted(ladder)
+
+
+class TestBaseTable:
+    def test_one_table_for_candidates_and_certificate_bases(self):
+        assert list(ct.CERT_BASES) == list(check.BASES)
+        for name, (k, edges) in check.BASES.items():
+            assert ct.cert_base(name) == stepmodel.CandidateGraph(name, graphs.graph(k, edges))
+        assert stepmodel.CANDIDATES == {name: ct.CERT_BASES[name] for name in check.CANDIDATES}
+        assert list(check.BASES) == ["P3", "P4", "H5", "H6", "K2"]
+
+    def test_unknown_base_refused_alike(self):
+        for lookup in (check.base, ct.cert_base):
+            with pytest.raises(ValueError, match=r"unknown certificate base 'K9'; "
+                                                 r"have \['H5', 'H6', 'K2', 'P3', 'P4'\]"):
+                lookup("K9")
+
+
+def _report(stem, k, m, *tail):
+    """The report on the file <stem>.txt, whose base is the stem up to its first dot."""
+    return ["command: verify", f"file: {stem}.txt", f"candidate: {stem.split('.')[0]}",
+            "bound: 8/7", f"k: {k}", f"m: {m}", f"dimQ: {(k + 1) * m}", *tail]
+
+
+_PASS = ("identity: PASS", "psd: PSD", "verdict: PASS")
+
+
+class TestVerifyReport:
+    """`ssc verify` reports, line by line but for duration_s, on the pinned
+    certificates at 8/7 and on two hostile variants of H6's."""
+
+    @pytest.mark.parametrize("name,variant,code,want", [
+        ("P3", None, 0, _report("P3", 3, 3, *_PASS)),
+        ("P4", None, 0, _report("P4", 4, 6, *_PASS)),
+        ("H5", None, 0, _report("H5", 5, 10, *_PASS)),
+        ("H6", None, 0, _report("H6", 6, 15, *_PASS)),
+        ("H6", perturbed, 1, _report(
+            "H6.perturbed", 6, 15, "identity: FAIL",
+            "identity_violation: coefficient 1 entry (0,0): got 8000007/7000000, want 8/7",
+            "psd: SKIPPED", "verdict: FAIL")),
+        ("H6", negdiag, 1, _report(
+            "H6.negdiag", 6, 15, "identity: PASS", "psd: NOT_PSD",
+            "psd_counterexample: 1/1" + " 0/1" * 104, "psd_value: -1/1",
+            "verdict: FAIL")),
+    ], ids=["P3", "P4", "H5", "H6", "H6-perturbed", "H6-negdiag"])
+    def test_report_lines(self, capsys, tmp_path, monkeypatch, name, variant, code, want):
+        cert = certified(name, C87).certificate
+        stem = name if variant is None else f"{name}.{variant.__name__}"
+        if variant is not None:
+            cert = variant(cert)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"{stem}.txt").write_text(ct.format_certificate(cert))
+        assert cli.main(["verify", f"{stem}.txt"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("duration_s: ")
+        assert lines[:-1] == want
 
 
 class TestCertificateIO:

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -297,3 +298,52 @@ class TestDeterminism:
         _, o1 = run(capsys, "optimize", "H5", "--restarts", "10", "--seed", "2")
         _, o2 = run(capsys, "optimize", "H5", "--restarts", "10", "--seed", "2")
         assert strip(o1) == strip(o2)
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter that imports specsum from this checkout."""
+    src = os.path.dirname(os.path.dirname(specsum.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestImports:
+    def test_verify_loads_no_numpy(self, capsys, tmp_path):
+        cert = tmp_path / "p3.txt"
+        assert cli.main(["certify", "P3", "--out", str(cert)]) == 0
+        proc = run_python(
+            "import sys; from specsum.cli import main; code = main(['verify', %r]); "
+            "assert 'numpy' not in sys.modules, 'numpy loaded'; sys.exit(code)" % str(cert))
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: PASS" in proc.stdout
+
+    def test_package_import_loads_no_numpy(self):
+        proc = run_python("import sys, specsum; assert 'numpy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_checker_needs_only_stdlib_and_exactq(self):
+        proc = run_python(
+            "import sys; before = set(sys.modules); import specsum.check; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+        assert proc.returncode == 0, proc.stderr
+        new = proc.stdout.split()
+        ours = [m for m in new if m.split(".")[0] == "specsum"]
+        assert ours == ["specsum", "specsum.check", "specsum.exactq"]
+        assert all(m.split(".")[0] in sys.stdlib_module_names for m in new if m not in ours)
+
+
+class TestParser:
+    def test_subcommands_and_choices_unchanged(self):
+        (subs,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        assert list(subs.choices) == ["spectrum", "search", "optimize", "certify",
+                                      "verify", "compound"]
+        choices = {(cmd, a.dest): a.choices for cmd, p in subs.choices.items()
+                   for a in p._actions if a.choices is not None}
+        assert choices == {("optimize", "candidate"): ["H5", "H6", "P3", "P4"],
+                           ("certify", "candidate"): ["H5", "H6", "K2", "P3", "P4"]}
+        modes = {a.option_strings[0]: a.const for a in subs.choices["search"]._actions
+                 if a.dest == "mode"}
+        assert modes == {"--max": graphs.MAX, "--min-connected": graphs.MIN_CONNECTED}

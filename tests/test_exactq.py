@@ -201,6 +201,28 @@ class TestLdlPsdCheck:
             exactq.ldl_psd_check([[Fraction(0), Fraction(1)],
                                   [Fraction(2), Fraction(0)]])
 
+    def test_asymmetry_named_at_first_lower_entry(self):
+        # the first (row, col), col < row, in row-major order that differs
+        # from its mirror, whichever of the two is zero
+        Z, I = Fraction(0), Fraction(1)
+        Q = [[Z, Z, I, Z], [Z, Z, Z, Z], [Z, Z, Z, I], [Z, I, Z, Z]]
+        with pytest.raises(ValueError, match=r"not symmetric at \(2,0\)"):
+            exactq.ldl_psd_check(Q)
+        Q[0][2] = Q[2][0] = I
+        with pytest.raises(ValueError, match=r"not symmetric at \(3,1\)"):
+            exactq.ldl_psd_check(Q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 6))
+    def test_witness_value_is_its_quadratic_form(self, seed, n):
+        rng = np.random.default_rng(seed)
+        Q = rational_matrix(rng, n)
+        w = exactq.ldl_psd_check(Q)
+        if w.verdict == exactq.NOT_PSD:
+            assert w.value == exactq.q_eval(Q, list(w.counterexample)) < 0
+        else:
+            assert w.value is None
+
 
 class TestRationalIO:
     def test_format_lowest_terms_positive_denominator(self):
