@@ -98,12 +98,13 @@ def cmd_search(n: int, mode: str) -> RunReport:
 def _parse_weights(text: str, k: int):
     import numpy as np
 
-    from . import numerics
-
     toks = [t for t in text.split(",") if t.strip()]
     if len(toks) != k:
         raise ValueError(f"expected {k} comma-separated weights, got {len(toks)}")
-    return np.array([numerics.parse_number(t.strip()) for t in toks])
+    try:
+        return np.array([float(exactq.parse_rational(t)) for t in toks])
+    except OverflowError as e:
+        raise ValueError(f"weight too large for a float: {e}")
 
 
 def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
@@ -213,26 +214,14 @@ def cmd_verify(path: str) -> RunReport:
 
 
 def cmd_compound(path: str, k: int) -> RunReport:
-    from . import compound, numerics
+    from . import compound
 
     t0 = time.perf_counter()
-    text = _read_text(path)
-    try:
-        M = exactq.read_matrix_q(text)
-        exact = True
-    except ValueError:
-        M = numerics.read_matrix(text)
-        exact = False
+    M = exactq.read_matrix_q(_read_text(path))
     C = compound.additive_compound(M, k)
-    n = len(M) if exact else M.shape[0]
-    dim = len(C) if exact else C.shape[0]
-    results = [("n", str(n)), ("k", str(k)), ("dim", str(dim)),
-               ("arithmetic", "exact" if exact else "float")]
-    for row in C:
-        if exact:
-            results.append(("row", " ".join(exactq.format_rational(x) for x in row)))
-        else:
-            results.append(("row", _vec(row)))
+    results = [("n", str(len(M))), ("k", str(k)), ("dim", str(len(C))),
+               ("arithmetic", "exact")]
+    results += [("row", " ".join(map(exactq.format_rational, row))) for row in C]
     return RunReport("compound", (("file", path),), tuple(results),
                      time.perf_counter() - t0)
 

@@ -296,6 +296,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def read_matrix_q(text: str) -> QMatrix:
+    """The matrix file format: the dimension k (parse_int), then k rows of
+    k entries in the parse_rational grammar; blank lines are skipped."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -325,10 +327,3 @@ def read_matrix_q(text: str) -> QMatrix:
     if len(rows) != k:
         raise ValueError(f"expected {k} rows, got {len(rows)}")
     return rows
-
-
-def format_matrix_q(Q: Sequence[Sequence[Fraction]]) -> str:
-    lines = [str(len(Q))]
-    for row in Q:
-        lines.append(" ".join(format_rational(x) for x in row))
-    return "\n".join(lines) + "\n"

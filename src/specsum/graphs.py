@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
+from .check import wedge_pairs
+from .exactq import parse_int
 
 MAX = "MAX"
 MIN_CONNECTED = "MIN_CONNECTED"
@@ -133,18 +135,14 @@ def conjecture_pq(n: int) -> tuple[int, int]:
     return (2 * k + 2, 2 * k + 2)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(1, n + 1), 2))
-
-
 def mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = _pairs(n)
+    pairs = wedge_pairs(n)
     return graph(n, (pairs[b] for b in range(len(pairs)) if mask >> b & 1))
 
 
 def _incidence(n: int) -> list[int]:
     """Per vertex, the edge mask of the pairs that contain it."""
-    pairs = _pairs(n)
+    pairs = wedge_pairs(n)
     return [sum(1 << b for b, e in enumerate(pairs) if v in e)
             for v in range(1, n + 1)]
 
@@ -157,7 +155,7 @@ def _degree_ordered(masks: np.ndarray, inc: list[int]) -> np.ndarray:
 
 
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
-    iu, ju = np.triu_indices(n, 1)  # the same lexicographic order as _pairs
+    iu, ju = np.triu_indices(n, 1)  # the same lexicographic order as wedge_pairs
     bits = (masks[:, None] >> np.arange(iu.size)) & 1
     A = np.zeros((masks.size, n, n))
     A[:, iu, ju] = bits
@@ -219,7 +217,14 @@ def search_extremal(n: int, mode: str, batch: int = 4096) -> tuple[Graph, float]
 
 # --- plain-text graph format: "n m" then m lines "i j" (i = j is a loop) --
 
+#: the largest n that read_graph accepts: a graph's adjacency matrix is
+#: dense, and `ssc spectrum` eigensolves it whole
+MAX_FILE_ORDER = 1000
+
+
 def read_graph(text: str) -> Graph:
+    """Read the graph format; every integer is read by exactq.parse_int,
+    and n is checked against MAX_FILE_ORDER before any edge is read."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -230,9 +235,11 @@ def read_graph(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"line {idx + 1}: expected 'n m', got {lines[idx].strip()!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = parse_int(head[0]), parse_int(head[1])
     except ValueError:
         raise ValueError(f"line {idx + 1}: expected integers 'n m'")
+    if n > MAX_FILE_ORDER:
+        raise ValueError(f"line {idx + 1}: n = {n} is above the limit {MAX_FILE_ORDER}")
     edges = []
     for ln_no in range(idx + 1, len(lines)):
         ln = lines[ln_no].strip()
@@ -242,7 +249,7 @@ def read_graph(text: str) -> Graph:
         if len(toks) != 2:
             raise ValueError(f"line {ln_no + 1}: expected 'i j', got {ln!r}")
         try:
-            i, j = int(toks[0]), int(toks[1])
+            i, j = parse_int(toks[0]), parse_int(toks[1])
         except ValueError:
             raise ValueError(f"line {ln_no + 1}: expected integer endpoints")
         if not (1 <= i <= n and 1 <= j <= n):

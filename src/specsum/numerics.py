@@ -1,20 +1,15 @@
 """Floating-point symmetric linear algebra.
 
-Eigensolver with deterministic ordering and sign conventions, Kronecker
-products, Euclidean projection onto the probability simplex, and the shared
-plain-text matrix format. Everything here is a pure function on immutable
-inputs; no module state.
+Eigensolver with deterministic ordering and sign conventions, and
+Euclidean projection onto the probability simplex. Everything here is a
+pure function on immutable inputs; no module state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-from .exactq import parse_int
 
 EIG_TOL = 1e-10
 
@@ -69,11 +64,6 @@ def eigh(M: np.ndarray, eig_tol: float = EIG_TOL) -> EigenDecomp:
     return EigenDecomp(eigenvalues=w, eigenvectors=V)
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product: (A x B)[(i*p+k),(j*q+l)] = A[i,j] * B[k,l]."""
-    return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-
-
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x : x >= 0, sum x = 1}; a (B, k) stack is
     projected row by row.
@@ -95,66 +85,3 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     theta = (1.0 - cs[np.arange(V.shape[0]), rho]) / (rho + 1.0)
     out = np.maximum(V + theta[:, None], 0.0)
     return out if v.ndim == 2 else out[0]
-
-
-# --- shared plain-text matrix format ------------------------------------
-# line 1: dimension k; then k lines of k whitespace-separated entries, each
-# a decimal or an exact rational "p/q".
-
-def parse_number(tok: str) -> float:
-    """A float literal or "p/q"; ValueError for a zero denominator or a
-    value that does not fit a finite float."""
-    try:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            x = int(num) / int(den)
-        else:
-            x = float(tok)
-    except (ZeroDivisionError, OverflowError) as e:
-        raise ValueError(f"bad number {tok[:40]!r}: {e}")
-    if not math.isfinite(x):
-        raise ValueError(f"bad number {tok[:40]!r}: not a finite float")
-    return x
-
-
-def read_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines()]
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
-        raise ValueError("line 1: missing dimension")
-    try:
-        k = parse_int(lines[idx])
-    except ValueError:
-        raise ValueError(f"line {idx + 1}: expected integer dimension, got {lines[idx].strip()!r}")
-    if k < 1:
-        raise ValueError(f"line {idx + 1}: dimension must be >= 1")
-    rows = []
-    for ln_no in range(idx + 1, len(lines)):
-        ln = lines[ln_no].strip()
-        if not ln:
-            continue
-        if len(rows) >= k:
-            raise ValueError(f"line {ln_no + 1}: more than {k} rows")
-        toks = ln.split()
-        if len(toks) != k:
-            raise ValueError(f"line {ln_no + 1}: expected {k} entries, got {len(toks)}")
-        try:
-            rows.append([parse_number(t) for t in toks])
-        except ValueError as e:
-            raise ValueError(f"line {ln_no + 1}: {e}")
-    if len(rows) != k:
-        raise ValueError(f"expected {k} rows, got {len(rows)}")
-    return np.array(rows, dtype=float)
-
-
-def format_matrix(M: np.ndarray) -> str:
-    M = np.asarray(M)
-    lines = [str(M.shape[0])]
-    for row in M:
-        if M.dtype == object:
-            lines.append(" ".join(f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row))
-        else:
-            lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"

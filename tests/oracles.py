@@ -109,6 +109,26 @@ def additive_compound_fd(M: np.ndarray, k: int, h: float = 1e-6) -> np.ndarray:
             - multiplicative_compound(I - h * M, k)) / (2 * h)
 
 
+def wedge_basis(n: int) -> np.ndarray:
+    """The n^2 x C(n,2) matrix whose columns are the orthonormal wedge basis
+    (e_i (x) e_j - e_j (x) e_i)/sqrt(2), i < j in lexicographic order."""
+    if n < 2:
+        raise ValueError("wedge basis needs n >= 2")
+    pairs = list(itertools.combinations(range(n), 2))
+    P = np.zeros((n * n, len(pairs)))
+    for c, (i, j) in enumerate(pairs):
+        P[i * n + j, c] = 1 / math.sqrt(2)
+        P[j * n + i, c] = -1 / math.sqrt(2)
+    return P
+
+
+def psi_kron(M: np.ndarray) -> np.ndarray:
+    """psi by its definition, P^T (M (x) I + I (x) M) P with P = wedge_basis(n)."""
+    n = M.shape[0]
+    P, I = wedge_basis(n), np.eye(n)
+    return P.T @ (np.kron(M, I) + np.kron(I, M)) @ P
+
+
 def rational_matrix(rng, n: int, den: int = 7, lo: int = -3, hi: int = 3):
     """Random symmetric matrix of Fractions with denominator den."""
     Q = [[Fraction(0)] * n for _ in range(n)]
@@ -211,17 +231,15 @@ def dense_ldl_psd_check(Q):
 
 def spot_check_loop(base, c, samples: int = 1000, seed: int = 0) -> float:
     """One sample at a time: min over random unit x of the least eigenvalue
-    of c*I - psi(A o x x^T), with psi of the whole matrix per sample."""
-    from specsum import compound
-
+    of c*I - psi(A o x x^T), with psi_kron of the whole matrix per sample."""
     rng = np.random.default_rng(seed)
     A = base.graph.adjacency()
-    cI = float(Fraction(c)) * np.eye(len(compound.wedge_pairs(base.k)))
+    cI = float(Fraction(c)) * np.eye(base.k * (base.k - 1) // 2)
     worst = np.inf
     for _ in range(samples):
         x = rng.standard_normal(base.k)
         x /= np.linalg.norm(x)
-        w = np.linalg.eigvalsh(cI - compound.psi(A * np.outer(x, x)))
+        w = np.linalg.eigvalsh(cI - psi_kron(A * np.outer(x, x)))
         worst = min(worst, float(w[0]))
     return worst
 

@@ -68,6 +68,29 @@ class TestSpectrum:
     def test_missing_file(self, capsys):
         assert cli.main(["spectrum", "/nonexistent/g.txt"]) == 2
 
+    @pytest.mark.parametrize("text,line", [
+        ("1_0 0\n", 1),  # digit grouping in the header
+        ("2 1\n1 \uff12\n", 2),  # fullwidth endpoint
+        (f"{graphs.MAX_FILE_ORDER + 1} 0\n", 1),  # above the order cap
+        (f"{graphs.MAX_FILE_ORDER + 1} 1\nx y\n", 1),  # refused before the edges
+        ("100000 0\n", 1)])
+    def test_header_and_endpoints_strict(self, capsys, tmp_path, text, line):
+        f = tmp_path / "bad.txt"
+        f.write_text(text, encoding="utf-8")
+        code = cli.main(["spectrum", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_order_cap_is_accepted(self, capsys, tmp_path):
+        f = tmp_path / "e.txt"
+        f.write_text(f"{graphs.MAX_FILE_ORDER} 1\n1 2\n")
+        code, out = run(capsys, "spectrum", str(f))
+        assert code == 0
+        assert kv(out)["n"] == str(graphs.MAX_FILE_ORDER)
+        assert abs(float(kv(out)["spectral_sum"]) - 1.0) < 1e-12
+
 
 class TestSearch:
     def test_min_connected_n4_is_star(self, capsys):
@@ -152,6 +175,12 @@ class TestOptimize:
         assert cli.main(["optimize", "P3", "--weights", "1/2,1/2"]) == 2
         assert cli.main(["optimize", "P3", "--weights", "1/2,1/2,1/2"]) == 2
         assert cli.main(["optimize", "P3", "--weights=-1/7,5/7,3/7"]) == 2
+        # a token outside the grammar, a zero denominator, and values too
+        # large for a float
+        for tok in ("8/7/2", "1/0", "1" * 401 + "/1", "1e400"):
+            assert cli.main(["optimize", "P3", "--weights", f"{tok},0,0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestCertifyVerify:
@@ -251,16 +280,14 @@ class TestCompound:
         code, out = run(capsys, "compound", str(f), "2")
         assert kv(out)["row"] == "7/1"
 
-    def test_float_fallback(self, capsys, tmp_path):
-        # 1_0 is a float literal but not a rational one, so the exact
-        # reader refuses it and the float reader takes over
-        f = tmp_path / "m.txt"
-        f.write_text("2\n1_0 0\n0 2\n")
-        code, out = run(capsys, "compound", str(f), "2")
-        d = kv(out)
-        assert code == 0
-        assert d["arithmetic"] == "float"
-        assert abs(float(d["row"]) - 12.0) < 1e-12
+    def test_no_float_fallback(self, capsys, tmp_path):
+        # tokens outside the exact grammar are refused, not read as floats
+        for tok in ("1_0", "\uff11", "1" * 501):
+            f = tmp_path / "m.txt"
+            f.write_text(f"2\n{tok} 0\n0 2\n", encoding="utf-8")
+            assert cli.main(["compound", str(f), "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
     def test_unparseable_either_way(self, capsys, tmp_path):
         f = tmp_path / "m.txt"

@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsum import compound
-from oracles import additive_compound_fd, pair_sums, rational_matrix
+from specsum import check, compound
+from oracles import additive_compound_fd, pair_sums, psi_kron, rational_matrix, wedge_basis
 
 
 def sym(seed, n):
@@ -18,12 +17,12 @@ def sym(seed, n):
 
 class TestWedgeBasis:
     def test_pairs_are_lexicographic(self):
-        assert compound.wedge_pairs(4) == [(1, 2), (1, 3), (1, 4),
-                                           (2, 3), (2, 4), (3, 4)]
+        assert check.wedge_pairs(4) == [(1, 2), (1, 3), (1, 4),
+                                        (2, 3), (2, 4), (3, 4)]
 
     def test_columns_orthonormal_and_antisymmetric(self):
-        wb = compound.wedge_basis(4)
-        P = wb.P
+        # the oracle's basis, which psi_kron projects onto
+        P = wedge_basis(4)
         assert P.shape == (16, 6)
         assert np.abs(P.T @ P - np.eye(6)).max() < 1e-14
         # each column lives in the antisymmetric subspace: S vec = -vec
@@ -36,7 +35,7 @@ class TestWedgeBasis:
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            compound.wedge_basis(1)
+            wedge_basis(1)
 
 
 class TestPsi:
@@ -54,27 +53,49 @@ class TestPsi:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10 ** 6))
     def test_exact_path_matches_float_path(self, n, seed):
+        # both paths agree with each other and with the Kronecker definition
         Mq = rational_matrix(np.random.default_rng(seed), n)
         Mf = np.array([[float(x) for x in row] for row in Mq])
         exact = compound.psi(Mq)
         flt = compound.psi(Mf)
+        kron = psi_kron(Mf)
         m = n * (n - 1) // 2
         for r in range(m):
             for s in range(m):
                 assert abs(float(exact[r][s]) - flt[r, s]) < 1e-12
+                assert abs(flt[r, s] - kron[r, s]) < 1e-12
 
     def test_defining_projection_formula(self):
-        # psi literally equals P^T (M (x) I + I (x) M) P
+        # psi equals P^T (M (x) I + I (x) M) P, the oracle's Kronecker route
         M = sym(11, 5)
-        P = compound.wedge_basis(5).P
-        N = np.kron(M, np.eye(5)) + np.kron(np.eye(5), M)
-        assert np.abs(compound.psi(M) - P.T @ N @ P).max() < 1e-12
+        assert np.abs(compound.psi(M) - psi_kron(M)).max() < 1e-12
+
+    def test_float_entries_are_float_arithmetic(self):
+        # every entry is M_ii + M_jj, +-M_xy or 0, as float arithmetic gives it
+        M = sym(14, 6)
+        P = compound.psi(M)
+        pairs = check.wedge_pairs(6)
+        for a, p in enumerate(pairs):
+            assert P[a, a] == M[p[0] - 1, p[0] - 1] + M[p[1] - 1, p[1] - 1]
+            for b, q in enumerate(pairs):
+                if len(set(p) & set(q)) == 0:
+                    assert P[a, b] == 0
+                elif a != b:
+                    (x,), (y,) = set(p) - set(q), set(q) - set(p)
+                    assert abs(P[a, b]) == abs(M[x - 1, y - 1])
+
+    def test_refuses_non_finite_floats(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            M = np.eye(3)
+            M[0, 1] = M[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                compound.psi(M)
 
     def test_wedges_of_eigenvectors_are_eigenvectors(self):
         # P^T (v_i ^ v_j) is an eigenvector of psi(M) for lambda_i + lambda_j
         M = sym(12, 6)
         lam, V = np.linalg.eigh(M)
-        P = compound.wedge_basis(6).P
+        P = wedge_basis(6)
         psiM = compound.psi(M)
         for i in range(6):
             for j in range(i + 1, 6):
@@ -108,11 +129,13 @@ class TestAdditiveCompound:
 
     def test_k2_equals_psi(self):
         # exact arithmetic: entrywise identical rationals
-        Mq = rational_matrix(np.random.default_rng(2), 5)
-        assert compound.additive_compound(Mq, 2) == compound.psi(Mq)
-        # float paths use different formulas; agreement to roundoff
+        rng = np.random.default_rng(2)
+        for n in (3, 4, 5, 6):
+            Mq = rational_matrix(rng, n)
+            assert compound.additive_compound(Mq, 2) == compound.psi(Mq)
+        # float: both round each entry once, so they agree on the nose
         Mf = sym(3, 6)
-        assert np.abs(compound.additive_compound(Mf, 2) - compound.psi(Mf)).max() < 1e-12
+        assert np.array_equal(compound.additive_compound(Mf, 2), compound.psi(Mf))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(3, 5), st.integers(2, 4))
@@ -140,17 +163,3 @@ class TestAdditiveCompound:
             compound.additive_compound(M, 0)
         with pytest.raises(ValueError):
             compound.additive_compound(M, 4)
-
-
-class TestSignMatrix:
-    def test_identity_for_small_orders(self):
-        for n in range(2, 8):
-            m = n * (n - 1) // 2
-            assert compound.compound_sign_matrix(n) == (1,) * m
-
-    def test_global_agreement_it_certifies(self):
-        # the sign matrix claims psi == compound on the nose; spot-check
-        rng = np.random.default_rng(5)
-        for n in (3, 4, 6):
-            Mq = rational_matrix(rng, n)
-            assert compound.psi(Mq) == compound.additive_compound(Mq, 2)

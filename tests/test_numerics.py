@@ -64,27 +64,6 @@ class TestEigh:
         assert abs((w ** 2).sum() - (A * A).sum()) < 1e-9
 
 
-class TestKron:
-    def test_against_definition(self):
-        rng = np.random.default_rng(3)
-        A, B = rng.standard_normal((2, 3)), rng.standard_normal((4, 2))
-        K = numerics.kron(A, B)
-        assert K.shape == (8, 6)
-        for i in range(2):
-            for j in range(3):
-                for k in range(4):
-                    for l in range(2):
-                        assert K[i * 4 + k, j * 2 + l] == A[i, j] * B[k, l]
-
-    def test_mixed_product_law(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            A, B, C, D = (rng.standard_normal((3, 3)) for _ in range(4))
-            lhs = numerics.kron(A, B) @ numerics.kron(C, D)
-            rhs = numerics.kron(A @ C, B @ D)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 class TestProjectSimplex:
     def test_fixed_points_and_corners(self):
         assert np.allclose(numerics.project_simplex(np.array([0.2, 0.3, 0.5])),
@@ -129,37 +108,3 @@ class TestProjectSimplex:
             numerics.project_simplex(np.array([[0.5, 0.5], [np.nan, 0.0]]))
         with pytest.raises(ValueError):
             numerics.project_simplex(np.zeros((2, 2, 2)))
-
-
-class TestMatrixIO:
-    def test_round_trip_floats(self):
-        M = np.array([[1.5, -2.0], [-2.0, 0.25]])
-        again = numerics.read_matrix(numerics.format_matrix(M))
-        assert np.array_equal(M, again)
-
-    def test_rational_tokens(self):
-        M = numerics.read_matrix("2\n1/2 0\n0 2/3\n")
-        assert M[0, 0] == 0.5
-        assert abs(M[1, 1] - 2 / 3) < 1e-15
-
-    def test_parse_errors_carry_line_numbers(self):
-        with pytest.raises(ValueError, match="line 1"):
-            numerics.read_matrix("x\n")
-        with pytest.raises(ValueError, match="line 3"):
-            numerics.read_matrix("2\n1 2\n3\n")
-        with pytest.raises(ValueError, match="line 2"):
-            numerics.read_matrix("2\n1 2 3\n4 5\n")
-        with pytest.raises(ValueError, match="line 1"):
-            numerics.read_matrix("\uff12\n1 0\n0 1\n")  # fullwidth two
-        # a huge dimension fails on the rows, before any allocation
-        with pytest.raises(ValueError, match="line 2"):
-            numerics.read_matrix("100000000\n1\n")
-
-    def test_parse_number(self):
-        assert numerics.parse_number("8/7") == 8 / 7
-        assert numerics.parse_number("-1.25") == -1.25
-        with pytest.raises(ValueError):
-            numerics.parse_number("8/7/2")
-        for tok in ("1/0", "1" * 401 + "/1", "1e400"):
-            with pytest.raises(ValueError):
-                numerics.parse_number(tok)
