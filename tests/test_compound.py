@@ -129,10 +129,8 @@ class TestAdditiveCompound:
 
     def test_k2_equals_psi(self):
         # exact arithmetic: entrywise identical rationals
-        rng = np.random.default_rng(2)
-        for n in (3, 4, 5, 6):
-            Mq = rational_matrix(rng, n)
-            assert compound.additive_compound(Mq, 2) == compound.psi(Mq)
+        Mq = rational_matrix(np.random.default_rng(2), 5)
+        assert compound.additive_compound(Mq, 2) == compound.psi(Mq)
         # float: both round each entry once, so they agree on the nose
         Mf = sym(3, 6)
         assert np.array_equal(compound.additive_compound(Mf, 2), compound.psi(Mf))
@@ -163,3 +161,13 @@ class TestAdditiveCompound:
             compound.additive_compound(M, 0)
         with pytest.raises(ValueError):
             compound.additive_compound(M, 4)
+
+
+class TestSignMatrix:
+    # psi and the k = 2 compound share one sign convention, so the sign
+    # matrix between them is the identity and they agree on the nose
+    def test_global_agreement_it_certifies(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 6):
+            Mq = rational_matrix(rng, n)
+            assert compound.psi(Mq) == compound.additive_compound(Mq, 2)

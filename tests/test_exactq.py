@@ -257,8 +257,6 @@ class TestRationalIO:
         text = "2\n" + "".join(" ".join(map(exactq.format_rational, row)) + "\n"
                                for row in Q)
         assert exactq.read_matrix_q(text) == Q
-        assert exactq.read_matrix_q("2\n1/2 0\n0 2/3\n") == \
-            [[Fraction(1, 2), 0], [0, Fraction(2, 3)]]
 
     def test_matrix_parse_errors(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -269,10 +267,3 @@ class TestRationalIO:
             exactq.read_matrix_q("2\n1 2\n")
         with pytest.raises(ValueError, match="line 1"):
             exactq.read_matrix_q("\uff12\n1 0\n0 1\n")  # fullwidth two
-        with pytest.raises(ValueError, match="line 2: expected 2 entries, got 3"):
-            exactq.read_matrix_q("2\n1 2 3\n4 5\n")
-        with pytest.raises(ValueError, match="line 3: expected 2 entries, got 1"):
-            exactq.read_matrix_q("2\n1 2\n3\n")
-        # a huge dimension fails on the rows, before any allocation
-        with pytest.raises(ValueError, match="line 2"):
-            exactq.read_matrix_q("100000000\n1\n")

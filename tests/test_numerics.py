@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specsum import numerics
+from specsum import cli, exactq, numerics
 
 
 def sym(rng, n):
@@ -108,3 +108,37 @@ class TestProjectSimplex:
             numerics.project_simplex(np.array([[0.5, 0.5], [np.nan, 0.0]]))
         with pytest.raises(ValueError):
             numerics.project_simplex(np.zeros((2, 2, 2)))
+
+
+class TestMatrixIO:
+    # the one matrix reader is exact; the float side rounds what it reads
+    def read_matrix(self, text):
+        return np.array(exactq.read_matrix_q(text), dtype=float)
+
+    def test_rational_tokens(self):
+        M = self.read_matrix("2\n1/2 0\n0 2/3\n")
+        assert M[0, 0] == 0.5
+        assert abs(M[1, 1] - 2 / 3) < 1e-15
+
+    def test_parse_errors_carry_line_numbers(self):
+        with pytest.raises(ValueError, match="line 1"):
+            self.read_matrix("x\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 entries, got 1"):
+            self.read_matrix("2\n1 2\n3\n")
+        with pytest.raises(ValueError, match="line 2: expected 2 entries, got 3"):
+            self.read_matrix("2\n1 2 3\n4 5\n")
+        with pytest.raises(ValueError, match="line 1"):
+            self.read_matrix("\uff12\n1 0\n0 1\n")  # fullwidth two
+        # a huge dimension fails on the rows, before any allocation
+        with pytest.raises(ValueError, match="line 2"):
+            self.read_matrix("100000000\n1\n")
+
+    def test_parse_number(self):
+        # number tokens become floats where --weights reads them
+        assert cli._parse_weights("8/7", 1)[0] == 8 / 7
+        assert cli._parse_weights("-1.25", 1)[0] == -1.25
+        with pytest.raises(ValueError):
+            cli._parse_weights("8/7/2", 1)
+        for tok in ("1/0", "1" * 401 + "/1", "1e400"):
+            with pytest.raises(ValueError):
+                cli._parse_weights(tok, 1)
