@@ -2,14 +2,17 @@
 
 Run:  python scripts/certify_h6.py [BASE] [--bound c] [--max-den D] [--out F]
 
-Pipeline: Douglas-Rachford splitting on the affine/PSD feasibility problem
+Pipeline: one Douglas-Rachford solve of the affine/PSD feasibility problem
 for the degree-1 matrix-SOS identity
 
     c*I - psi(M*(x)) = V(x)^T Q V(x) + (1 - ||x||^2) T,
 
-then continued-fraction rounding of the free parameters onto a denominator
-ladder, exact reconstruction of the dependent blocks, and exact rational
-verification (coefficient identity + LDL^T positive-semidefiniteness of Q).
+then, whatever the solver's status, one walk up a denominator ladder
+(7 * 2^j and 21 * 2^j below --max-den, then --max-den, the largest
+denominator tried): continued-fraction rounding of the free parameters,
+exact reconstruction of the dependent blocks, and an exact LDL^T check that
+Q is positive semidefinite. The first rung that passes is checked once more
+for the coefficient identity, exactly as `ssc verify` checks it.
 H6 is the full-scale case (Q is 105x105); at 8/7 the solver converges in 133
 iterations and the certificate lands on denominator 28 in about 0.06 s of CPU
 time (Python 3.11, numpy 2.4, one BLAS thread, 2-core VM).  The resulting file is
@@ -27,7 +30,8 @@ def main():
     ap.add_argument("base", nargs="?", default="H6",
                     choices=sorted(certify.CERT_BASES))
     ap.add_argument("--bound", default="8/7")
-    ap.add_argument("--max-den", type=int, default=10 ** 4)
+    ap.add_argument("--max-den", type=int, default=10 ** 4,
+                    help="largest denominator tried")
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 

@@ -105,7 +105,6 @@ class SosProblem:
     pairs: tuple
     R: tuple  # R_i = c*I - A_ii psi(E_ii), exact, i = 1..k
     F: dict  # F[(i,j)] = -A_ij psi(E_ij + E_ji)/2, exact, i < j
-    rhs: dict = field(repr=False)  # coefficient name -> {(r, s): nonzero right-hand side}
     blocks: dict = field(repr=False)  # size -> (count, size) coordinates, see _sign_blocks
     layout: BlockLayout = field(repr=False)
 
@@ -193,7 +192,7 @@ def assemble(cand: CandidateGraph, c) -> SosProblem:
                           F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m])
     blocks = _sign_blocks(k, pairs)
     return SosProblem(candidate=cand, c=c, k=k, m=m, dim=dim, pairs=pairs,
-                      R=tuple(R), F=F, rhs=rhs, blocks=blocks,
+                      R=tuple(R), F=F, blocks=blocks,
                       layout=_block_layout(k, m, blocks, R_f, F_dense))
 
 
@@ -250,18 +249,16 @@ def _min_eigenvalue(L: BlockLayout, v: np.ndarray) -> float:
 class SolveResult:
     status: str  # CONVERGED | NOT_FOUND
     Q: np.ndarray
-    T: np.ndarray
     iterations: int
     affine_residual: float
     psd_residual: float
 
 
-def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
-              omega: float = 1.0) -> SolveResult:
+def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000) -> SolveResult:
     """Projection splitting between the coefficient equations and the PSD
     cone, in the reflect-reflect-average (Douglas-Rachford / ADMM) form:
 
-        Qa = P_aff(Q);  Q <- Q + omega * (P_psd(2*Qa - Q) - Qa).
+        Qa = P_aff(Q);  Q <- Q + P_psd(2*Qa - Q) - Qa.
 
     Plain alternation P_psd(P_aff(.)) stalls here: the intersection is
     non-transversal (every certificate is singular, see module docstring),
@@ -275,8 +272,6 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not (0 < omega <= 2):
-        raise ValueError("omega must be in (0, 2]")
     L = p.layout
     v = np.zeros(L.rows.size)
     va = v
@@ -289,11 +284,10 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000,
         if psd <= tol and aff <= tol:
             status, it = "CONVERGED", n
             break
-        v = v + omega * (_clip_psd(L, 2 * va - v) - va)
+        v = v + (_clip_psd(L, 2 * va - v) - va)
     Q = np.zeros((p.dim, p.dim))
     Q[L.rows, L.cols] = va
-    T = np.diag(float(p.c) - va[L.diag[0]])
-    return SolveResult(status, Q, T, it, aff, psd)
+    return SolveResult(status, Q, it, aff, psd)
 
 
 def _freeze(M: QMatrix) -> tuple:
@@ -362,11 +356,7 @@ def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
 class CertifyConfig:
     tol: float = 1e-9
     max_iter: int = 50000
-    max_den: int = 10 ** 4
-    max_den_cap: int = 8 * 10 ** 4
-    omega: float = 1.0
-    solve_rounds: int = 2
-    rationalize_residual: float = 1e-5  # attempt rounding even on NOT_FOUND below this
+    max_den: int = 10 ** 4  # the largest denominator tried
 
 
 @dataclass(frozen=True)
@@ -378,53 +368,42 @@ class CertifyResult:
     stage: str = ""  # failing stage when NOT_FOUND
 
 
-def _denominator_ladder(max_den: int, cap: int) -> list[int]:
+def _denominator_ladder(max_den: int) -> list[int]:
     """Small denominators first: limit_denominator(d) recovers a true entry
     p/q exactly whenever q <= d and the numeric error is below ~1/(2qd), so
-    small caps tolerate the most solver noise. Then the spec'd doubling."""
-    ds = set()
-    for base in (7, 21):
-        d = base
+    small caps tolerate the most solver noise. 7 * 2^j and 21 * 2^j below
+    max_den, then max_den itself."""
+    ds = {max_den}
+    for d in (7, 21):
         while d < max_den:
             ds.add(d)
             d *= 2
-    d = max_den
-    while d <= cap:
-        ds.add(d)
-        d *= 2
-    ds.add(max_den)
     return sorted(ds)
 
 
 def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) -> CertifyResult:
-    """assemble -> sdp_solve -> rationalize -> verify, with retries.
+    """assemble -> sdp_solve -> rationalize -> verify.
 
-    Rounding retries walk the denominator ladder; if no rung verifies PSD,
-    the SDP is re-solved with a tighter tolerance and the ladder retried.
+    One solve, then one walk up the denominator ladder from the solver's
+    point, whatever its status; the first rung whose Q is PSD is accepted.
     Each rung is checked for PSD only: reconstruction makes every rung
-    satisfy the identity, so that is checked once, on the accepted rung, and
-    a violation raises ArithmeticError. The returned certificate always
-    passes both exact checks.
+    satisfy the identity, so that is checked once, on the accepted rung, by
+    the call `ssc verify` makes, and a violation raises ArithmeticError.
+    The returned certificate always passes both exact checks. On NOT_FOUND
+    the failing stage is sdp_solve if the solve did not converge, else
+    verify_psd.
     """
     p = assemble(cand, c)
+    solve = sdp_solve(p, tol=config.tol, max_iter=config.max_iter)
     attempts = []
-    tol = config.tol
-    solve = None
-    for round_no in range(max(1, config.solve_rounds)):
-        solve = sdp_solve(p, tol=tol, max_iter=config.max_iter, omega=config.omega)
-        resid = max(solve.affine_residual, solve.psd_residual)
-        if solve.status != "CONVERGED" and resid > config.rationalize_residual:
-            tol /= 10
-            continue
-        for d in _denominator_ladder(config.max_den, config.max_den_cap):
-            cert = rationalize(p, solve.Q, max_den=d)
-            wit = verify_psd(cert)
-            attempts.append((d, wit.verdict))
-            if wit.verdict == exactq.PSD:
-                idr = verify_identity(cert, problem=p)
-                if not idr.ok:  # reconstruction guarantees this; treat as fatal
-                    raise ArithmeticError(f"reconstructed certificate broke identity: {idr.violations[:1]}")
-                return CertifyResult("FOUND", cert, solve, tuple(attempts))
-        tol /= 10
-    stage = "sdp_solve" if (solve and solve.status != "CONVERGED" and not attempts) else "verify_psd"
+    for d in _denominator_ladder(config.max_den):
+        cert = rationalize(p, solve.Q, max_den=d)
+        wit = verify_psd(cert)
+        attempts.append((d, wit.verdict))
+        if wit.verdict == exactq.PSD:
+            idr = verify_identity(cert)
+            if not idr.ok:  # reconstruction guarantees this; treat as fatal
+                raise ArithmeticError(f"reconstructed certificate broke identity: {idr.violations[:1]}")
+            return CertifyResult("FOUND", cert, solve, tuple(attempts))
+    stage = "sdp_solve" if solve.status != "CONVERGED" else "verify_psd"
     return CertifyResult("NOT_FOUND", None, solve, tuple(attempts), stage=stage)

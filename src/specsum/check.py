@@ -130,16 +130,14 @@ class IdentityReport:
     checked: int  # entries compared explicitly: the union of supports
 
 
-def verify_identity(cert: Certificate, problem=None,
-                    max_report: int = 20) -> IdentityReport:
+def verify_identity(cert: Certificate, max_report: int = 20) -> IdentityReport:
     """Exact coefficientwise comparison of both sides of the identity.
 
     Expands V(x)^T Q V(x) + (1-|x|^2) T and c*I - psi(M*(x)) as quadratic
     matrix polynomials and compares the constant, x_i, x_i^2 and x_i x_j
     coefficients over the rationals. Also checks exact symmetry of Q and T.
-    The right-hand sides come from `problem` (a `certify.SosProblem`) when
-    given, which must be for the certificate's base and bound; else they
-    are built from the named base at cert.c by `coefficient_rhs`.
+    The right-hand sides are built from the named base at cert.c by
+    `coefficient_rhs`.
 
     One pass collects the nonzeros of Q and T. Each equation, symmetry
     included, is compared on the union of the supports of its two sides:
@@ -148,14 +146,8 @@ def verify_identity(cert: Certificate, problem=None,
     check is complete; `checked` counts the entries on the unions.
     Violations come in the order of a dense row-major scan.
     """
-    if problem is None:
-        k, edges = base(cert.candidate)
-        m, rhs = k * (k - 1) // 2, coefficient_rhs(k, edges, cert.c)
-    elif (problem.candidate.name, problem.c) != (cert.candidate, cert.c):
-        raise ValueError(f"problem is for {problem.candidate.name} at {problem.c}, "
-                         f"certificate for {cert.candidate} at {cert.c}")
-    else:
-        k, m, rhs = problem.k, problem.m, problem.rhs
+    k, edges = base(cert.candidate)
+    m, rhs = k * (k - 1) // 2, coefficient_rhs(k, edges, cert.c)
     dim = (k + 1) * m
     if cert.k != k or cert.m != m:
         return IdentityReport(False, (("dims", 0, 0, (cert.k, cert.m), (k, m)),), 0)

@@ -18,11 +18,12 @@ psi is computed by the entrywise formula
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 import numpy as np
 
 from . import check
+from .exactq import _ZERO, QMatrix, _as_fraction
 
 
 def _is_float_matrix(M) -> bool:
@@ -47,39 +48,43 @@ def psi(M):
     return np.array(check.psi(M.tolist()), dtype=float)
 
 
-def additive_compound(M, k: int):
-    """k-th additive compound over k-subsets in lexicographic order.
+#: the largest C(n, k) that additive_compound builds: its output is a dense
+#: C(n, k) x C(n, k) matrix, and `ssc compound` prints every entry
+MAX_COMPOUND_DIM = 1000
+
+
+def additive_compound(M, k: int) -> QMatrix:
+    """k-th additive compound of a rational matrix over k-subsets in
+    lexicographic order, exactly.
 
     diagonal (alpha, alpha): sum of m_ii over i in alpha;
     |alpha ^ beta| = k-1: sign(alpha, beta) * m_ij with {i} = alpha \\ beta,
     {j} = beta \\ alpha, sign = (-1)^#{r in alpha ^ beta strictly between
-    the two elements of the symmetric difference}; zero otherwise.
+    i and j}; zero otherwise. Each beta of that kind is reached from alpha
+    by swapping one i out for one j, and only nonzero m_ij are visited.
+    C(n, k) is checked against MAX_COMPOUND_DIM before any entry is read.
     """
-    float_path = _is_float_matrix(M)
-    rows = [list(r) for r in (np.asarray(M, dtype=float) if float_path else M)]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(M)
+    if any(len(r) != n for r in M):
         raise ValueError("M must be square")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    N = math.comb(n, k)
+    if N > MAX_COMPOUND_DIM:
+        raise ValueError(f"the compound has C({n},{k}) = {N} rows, "
+                         f"above the limit {MAX_COMPOUND_DIM}")
+    rows = [[_as_fraction(x) for x in r] for r in M]
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    N = len(subsets)
-    zero = 0.0 if float_path else Fraction(0)
-    out = [[zero] * N for _ in range(N)]
-    sets = [frozenset(s) for s in subsets]
-    for a in range(N):
-        out[a][a] = sum(rows[i - 1][i - 1] for i in subsets[a])
-        for b in range(N):
-            if a == b:
-                continue
-            inter = sets[a] & sets[b]
-            if len(inter) != k - 1:
-                continue
-            (i,) = sets[a] - inter
-            (j,) = sets[b] - inter
-            lo, hi = min(i, j), max(i, j)
-            sgn = -1 if sum(1 for r in inter if lo < r < hi) % 2 else 1
-            out[a][b] = sgn * rows[i - 1][j - 1]
-    if float_path:
-        return np.array(out, dtype=float)
-    return [[Fraction(x) for x in row] for row in out]
+    index = {s: a for a, s in enumerate(subsets)}
+    out: QMatrix = [[_ZERO] * N for _ in range(N)]
+    for a, s in enumerate(subsets):
+        out[a][a] = sum(rows[i - 1][i - 1] for i in s)
+        for i in s:
+            rest = [r for r in s if r != i]
+            for j, v in enumerate(rows[i - 1], 1):
+                if not v or j in s:
+                    continue
+                lo, hi = min(i, j), max(i, j)
+                flips = sum(lo < r < hi for r in rest)
+                out[a][index[tuple(sorted(rest + [j]))]] = -v if flips % 2 else v
+    return out

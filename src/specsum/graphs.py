@@ -18,6 +18,8 @@ from .exactq import parse_int
 
 MAX = "MAX"
 MIN_CONNECTED = "MIN_CONNECTED"
+#: edge masks that search_extremal filters and eigensolves at once
+SEARCH_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,13 @@ def _connected_stack(A: np.ndarray) -> np.ndarray:
     return np.all(R[:, 0, :] > 0, axis=1)
 
 
-def search_extremal(n: int, mode: str, batch: int = 4096) -> tuple[Graph, float]:
+def search_extremal(n: int, mode: str) -> tuple[Graph, float]:
     """Exhaustive extremal search over loop-free graphs on n vertices.
 
     MAX: maximize lambda1 + lambda2. MIN_CONNECTED: minimize it over
     connected graphs. Bit b of an edge mask is pair b in lexicographic
     order (1,2),(1,3),...; the scan walks every mask in increasing order,
-    in fixed-size batches, but eigensolves only the labelings whose degrees
+    in batches of SEARCH_BATCH, but eigensolves only the labelings whose degrees
     do not increase, deg(1) >= deg(2) >= ... >= deg(n). Relabeling changes
     neither lambda1 + lambda2 nor connectivity, and sorting the vertices by
     degree gives every graph such a labeling, so the extremum over these
@@ -195,8 +197,8 @@ def search_extremal(n: int, mode: str, batch: int = 4096) -> tuple[Graph, float]
     inc = _incidence(n)
     sign = 1.0 if mode == MAX else -1.0
     best_val, best_mask = -np.inf, -1
-    for start in range(0, total, batch):
-        masks = np.arange(start, min(start + batch, total), dtype=np.int64)
+    for start in range(0, total, SEARCH_BATCH):
+        masks = np.arange(start, min(start + SEARCH_BATCH, total), dtype=np.int64)
         masks = masks[_degree_ordered(masks, inc)]
         A = _adjacency_stack(n, masks)
         if mode == MIN_CONNECTED:
@@ -224,7 +226,8 @@ MAX_FILE_ORDER = 1000
 
 def read_graph(text: str) -> Graph:
     """Read the graph format; every integer is read by exactq.parse_int,
-    and n is checked against MAX_FILE_ORDER before any edge is read."""
+    and n is checked against MAX_FILE_ORDER before any edge is read. An
+    edge given twice, in either orientation, is refused at its second line."""
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -240,7 +243,7 @@ def read_graph(text: str) -> Graph:
         raise ValueError(f"line {idx + 1}: expected integers 'n m'")
     if n > MAX_FILE_ORDER:
         raise ValueError(f"line {idx + 1}: n = {n} is above the limit {MAX_FILE_ORDER}")
-    edges = []
+    edges = {}  # (min, max) -> line of first occurrence
     for ln_no in range(idx + 1, len(lines)):
         ln = lines[ln_no].strip()
         if not ln:
@@ -254,7 +257,10 @@ def read_graph(text: str) -> Graph:
             raise ValueError(f"line {ln_no + 1}: expected integer endpoints")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"line {ln_no + 1}: endpoint out of range 1..{n}")
-        edges.append((i, j))
+        e = (min(i, j), max(i, j))
+        if e in edges:
+            raise ValueError(f"line {ln_no + 1}: edge {i} {j} repeats line {edges[e]}")
+        edges[e] = ln_no + 1
     if len(edges) != m:
         raise ValueError(f"header says {m} edges, file has {len(edges)}")
     return graph(n, edges)

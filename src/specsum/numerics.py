@@ -36,12 +36,12 @@ def _as_symmetric(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def eigh(M: np.ndarray, eig_tol: float = EIG_TOL) -> EigenDecomp:
+def eigh(M: np.ndarray) -> EigenDecomp:
     """Full symmetric eigendecomposition, sorted descending.
 
     Deterministic for fixed input: ties broken by original index (stable
     sort), and each eigenvector's sign fixed so its largest-magnitude entry
-    is positive. Residual and orthonormality are checked against eig_tol.
+    is positive. Residual and orthonormality are checked against EIG_TOL.
     """
     S = _as_symmetric(M)
     w, V = np.linalg.eigh(S)
@@ -56,7 +56,7 @@ def eigh(M: np.ndarray, eig_tol: float = EIG_TOL) -> EigenDecomp:
     scale = max(1.0, float(np.abs(w).max()))
     resid = np.abs(S @ V - V * w).max()
     ortho = np.abs(V.T @ V - np.eye(len(w))).max()
-    if resid > eig_tol * scale or ortho > eig_tol:
+    if resid > EIG_TOL * scale or ortho > EIG_TOL:
         raise ArithmeticError(
             f"eigendecomposition failed tolerance: residual {resid:.3e}, ortho {ortho:.3e}")
     w.setflags(write=False)

@@ -144,16 +144,17 @@ class TestAssemble:
         def support(M):
             return {(r, s): x for r, row in enumerate(M) for s, x in enumerate(row) if x}
 
-        assert p.rhs["1"] == support(cI)
+        rhs = check.coefficient_rhs(p.k, p.candidate.graph.edges, C87)
+        assert rhs["1"] == support(cI)
         for i in range(1, p.k + 1):
             sq = term(i, i)
-            assert p.rhs[f"x_{i}"] == {}
-            assert p.rhs[f"x_{i}^2"] == support(sq)
+            assert rhs[f"x_{i}"] == {}
+            assert rhs[f"x_{i}^2"] == support(sq)
             assert [list(row) for row in p.R[i - 1]] == \
                 [[a + b for a, b in zip(*rows)] for rows in zip(cI, sq)]
         for i, j in p.pairs:
             two_f = term(i, j)
-            assert p.rhs[f"x_{i}*x_{j}"] == support(two_f)
+            assert rhs[f"x_{i}*x_{j}"] == support(two_f)
             assert [list(row) for row in p.F[(i, j)]] == [[x / 2 for x in row] for row in two_f]
 
 
@@ -186,7 +187,6 @@ class TestSignBlocks:
         assert r.status == "CONVERGED"
         assert not r.Q[~block_mask(p)].any()
         assert np.array_equal(r.Q, r.Q.T)
-        assert np.array_equal(r.T, np.diag(np.diag(r.T)))
 
     def test_affine_residual_sees_each_equation(self):
         # a point on the affine set, then one equation broken by 1e-3 at a time
@@ -214,7 +214,6 @@ class TestSdpSolve:
         assert r.status == "CONVERGED"
         assert r.iterations <= 5
         assert np.abs(r.Q).max() < 1e-9
-        assert np.abs(r.T - np.eye(1)).max() < 1e-9
 
     def test_p3_converges(self, p3_problem):
         r = ct.sdp_solve(p3_problem, tol=1e-9)
@@ -241,8 +240,6 @@ class TestSdpSolve:
     def test_parameter_validation(self, p3_problem):
         with pytest.raises(ValueError):
             ct.sdp_solve(p3_problem, tol=0.0)
-        with pytest.raises(ValueError):
-            ct.sdp_solve(p3_problem, omega=2.5)
 
 
 class TestRationalize:
@@ -259,7 +256,7 @@ class TestRationalize:
         junk = np.random.default_rng(1).standard_normal((p.dim, p.dim))
         cert = ct.rationalize(p, junk, max_den=97)
         assert cert == ct.rationalize(p, np.where(block_mask(p), junk, 0.0), max_den=97)
-        assert ct.verify_identity(cert, problem=p).ok
+        assert ct.verify_identity(cert).ok
 
     def test_trivial_base_exact(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
@@ -285,11 +282,6 @@ class TestVerifyIdentity:
         assert any("sym(Q)" in v[0] or "x" in v[0] or v[0] == "1"
                    for v in rep.violations)
 
-    def test_problem_for_other_bound_refused(self, p3_result):
-        p = ct.assemble(ct.cert_base("P3"), Fraction(6, 5))
-        with pytest.raises(ValueError, match="problem is for"):
-            ct.verify_identity(p3_result.certificate, problem=p)
-
     def test_zero_q_cannot_match(self):
         p = ct.assemble(ct.cert_base("H6"), C87)
         dim, m = p.dim, p.m
@@ -303,7 +295,7 @@ class TestVerifyIdentity:
         cert = certified(name, C87).certificate
         p = problem(name, C87)
         for bad, ok in ((perturbed(cert), False), (negdiag(cert), True)):
-            rep = ct.verify_identity(bad, problem=p, max_report=10 ** 6)
+            rep = ct.verify_identity(bad, max_report=10 ** 6)
             want_ok, want_bad, dense_checked = dense_verify_identity(bad, p, max_report=10 ** 6)
             assert rep.ok == want_ok == ok
             assert rep.violations == want_bad
@@ -335,14 +327,14 @@ class TestVerifyIdentity:
             o = i * p.m
             bad = replace_entries(cert, Q=[(r, o + s, delta), (o + s, r, delta),
                                            (s, o + r, -delta), (o + r, s, -delta)])
-        rep = ct.verify_identity(bad, problem=p, max_report=10 ** 6)
+        rep = ct.verify_identity(bad, max_report=10 ** 6)
         want_ok, want_bad, dense_checked = dense_verify_identity(bad, p, max_report=10 ** 6)
         assert rep.ok == want_ok
         assert rep.violations == want_bad
         assert rep.checked <= dense_checked
         if kind == "skew_0i":
             assert rep.ok
-        capped = ct.verify_identity(bad, problem=p)
+        capped = ct.verify_identity(bad)
         assert capped.violations == want_bad[:20]
 
 
@@ -385,7 +377,7 @@ class TestCertify:
         assert again.attempts == p3_result.attempts
 
     def test_infeasible_bound_reports_not_found(self):
-        cfg = ct.CertifyConfig(max_iter=2000, solve_rounds=1)
+        cfg = ct.CertifyConfig(max_iter=2000)
         r = ct.certify(ct.cert_base("P3"), Fraction(9, 8), cfg)
         assert r.status == "NOT_FOUND"
         assert r.certificate is None
@@ -441,10 +433,42 @@ class TestCertify:
         assert len(calls) == 1
 
     def test_denominator_ladder_small_first(self):
-        ladder = ct._denominator_ladder(10 ** 4, 4 * 10 ** 4)
+        ladder = ct._denominator_ladder(10 ** 4)
         assert ladder[0] == 7
-        assert 21 in ladder and 10 ** 4 in ladder and 2 * 10 ** 4 in ladder
+        assert 21 in ladder and 10 ** 4 in ladder
         assert ladder == sorted(ladder)
+
+    def test_denominator_ladder_ends_at_max_den(self):
+        assert ct._denominator_ladder(10 ** 4)[-1] == 10 ** 4
+        assert ct._denominator_ladder(10 ** 4) == sorted(
+            [7 << j for j in range(11)] + [21 << j for j in range(9)] + [10 ** 4])
+
+    def test_infeasible_bound_solves_once(self, monkeypatch):
+        # no second solve at a tighter tolerance: one solve, then one ladder
+        calls = []
+        real = ct.sdp_solve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ct, "sdp_solve", counting)
+        r = ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_iter=500))
+        assert len(calls) == 1
+        assert (r.status, r.stage, r.solve.status) == ("NOT_FOUND", "sdp_solve", "NOT_FOUND")
+        assert r.attempts == tuple((d, exactq.NOT_PSD) for d in ct._denominator_ladder(10 ** 4))
+
+    def test_unconverged_solve_is_still_rounded(self):
+        # 60 iterations leave H6 at 8/7 short of tol, yet a rung verifies
+        r = ct.certify(ct.cert_base("H6"), C87, ct.CertifyConfig(max_iter=60))
+        assert r.solve.status == "NOT_FOUND"
+        assert r.status == "FOUND"
+        assert check.verify_identity(r.certificate).ok
+        assert check.verify_psd(r.certificate).verdict == exactq.PSD
+
+    def test_config_has_only_the_cli_fields(self):
+        assert [f.name for f in dataclasses.fields(ct.CertifyConfig)] == \
+            ["tol", "max_iter", "max_den"]
 
 
 class TestBaseTable:

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import specsum
-from specsum import cli, graphs
+from specsum import cli, compound, graphs
 from oracles import K722_SUM, PATH4_SUM
 
 
@@ -82,6 +83,15 @@ class TestSpectrum:
         assert code == 2
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("second", ["1 2", "2 1"])
+    def test_repeated_edge_refused(self, capsys, tmp_path, second):
+        f = tmp_path / "d.txt"
+        f.write_text(f"2 2\n1 2\n{second}\n")
+        code = cli.main(["spectrum", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: line 3: edge {second} repeats line 2\n"
 
     def test_order_cap_is_accepted(self, capsys, tmp_path):
         f = tmp_path / "e.txt"
@@ -293,6 +303,23 @@ class TestCompound:
         f = tmp_path / "m.txt"
         f.write_text("2\n1.5e0x 0\n0 1\n")
         assert cli.main(["compound", str(f), "1"]) == 2
+
+    def test_output_size_cap(self, capsys, tmp_path):
+        # C(16, 8) = 12870: refused before a 12870^2 matrix is allocated
+        f = tmp_path / "m.txt"
+        f.write_text("16\n" + "".join(" ".join("1" if r == c else "0" for c in range(16)) + "\n"
+                                      for r in range(16)))
+        tracemalloc.start()
+        try:
+            code = cli.main(["compound", str(f), "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: the compound has C(16,8) = 12870 rows, "
+                       f"above the limit {compound.MAX_COMPOUND_DIM}\n")
+        assert peak < 10 ** 6
 
     def test_bad_k(self, capsys, tmp_path):
         f = tmp_path / "m.txt"

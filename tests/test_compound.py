@@ -15,6 +15,16 @@ def sym(seed, n):
     return (A + A.T) / 2
 
 
+def exact(M):
+    """A float matrix read exactly, entry by entry, as Fractions."""
+    return [[Fraction(x) for x in row] for row in np.asarray(M).tolist()]
+
+
+def compound_f(M, k):
+    """The exact k-th compound of a float matrix, rounded to floats once."""
+    return np.array(compound.additive_compound(exact(M), k), dtype=float)
+
+
 class TestWedgeBasis:
     def test_pairs_are_lexicographic(self):
         assert check.wedge_pairs(4) == [(1, 2), (1, 3), (1, 4),
@@ -119,11 +129,11 @@ class TestPsi:
 class TestAdditiveCompound:
     def test_k1_is_matrix_itself(self):
         M = sym(0, 4)
-        assert np.abs(compound.additive_compound(M, 1) - M).max() == 0
+        assert np.abs(compound_f(M, 1) - M).max() == 0
 
     def test_kn_is_trace(self):
         M = sym(1, 4)
-        C = compound.additive_compound(M, 4)
+        C = compound_f(M, 4)
         assert C.shape == (1, 1)
         assert abs(C[0, 0] - np.trace(M)) < 1e-14
 
@@ -131,9 +141,10 @@ class TestAdditiveCompound:
         # exact arithmetic: entrywise identical rationals
         Mq = rational_matrix(np.random.default_rng(2), 5)
         assert compound.additive_compound(Mq, 2) == compound.psi(Mq)
-        # float: both round each entry once, so they agree on the nose
+        # float: psi reads Mf exactly and rounds each entry once, as does
+        # the exact compound of Mf rounded once, so they agree on the nose
         Mf = sym(3, 6)
-        assert np.array_equal(compound.additive_compound(Mf, 2), compound.psi(Mf))
+        assert np.array_equal(compound_f(Mf, 2), compound.psi(Mf))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(3, 5), st.integers(2, 4))
@@ -142,9 +153,20 @@ class TestAdditiveCompound:
         if k > n:
             k = n
         M = sym(seed, n)
-        got = compound.additive_compound(M, k)
+        got = compound_f(M, k)
         want = additive_compound_fd(M, k)
         assert np.abs(got - want).max() < 1e-5
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(3, 6), st.integers(1, 5))
+    def test_nonsymmetric_sparse_matches_derivative(self, seed, n, k):
+        # entry (alpha, beta) reads m_ij with i on alpha's side, and zero
+        # entries of M are skipped: a sparse non-symmetric M checks both
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        M = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.5)
+        got = compound_f(M.astype(float), k)
+        assert np.abs(got - additive_compound_fd(M.astype(float), k)).max() < 1e-5
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(3, 5))
@@ -152,11 +174,11 @@ class TestAdditiveCompound:
         M = sym(seed, n)
         w = np.linalg.eigvalsh(M)
         trips = sorted(sum(c) for c in itertools.combinations(w, 3))
-        got = np.sort(np.linalg.eigvalsh(compound.additive_compound(M, 3)))
+        got = np.sort(np.linalg.eigvalsh(compound_f(M, 3)))
         assert np.abs(got - np.asarray(trips)).max() < 1e-8
 
     def test_k_bounds(self):
-        M = sym(4, 3)
+        M = exact(sym(4, 3))
         with pytest.raises(ValueError):
             compound.additive_compound(M, 0)
         with pytest.raises(ValueError):

@@ -250,3 +250,7 @@ class TestGraphIO:
             graphs.read_graph("2 1\n1 5\n")
         with pytest.raises(ValueError):
             graphs.read_graph("2 2\n1 2\n")  # header promises 2 edges
+        with pytest.raises(ValueError, match="line 4: edge 3 2 repeats line 2"):
+            graphs.read_graph("3 3\n2 3\n1 1\n3 2\n")
+        with pytest.raises(ValueError, match="line 4: edge 1 1 repeats line 2"):
+            graphs.read_graph("2 2\n1 1\n\n1 1\n")
