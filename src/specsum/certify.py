@@ -254,7 +254,11 @@ class SolveResult:
     psd_residual: float
 
 
-def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000) -> SolveResult:
+#: the solver's stopping tolerance on both residuals
+TOL = 1e-9
+
+
+def sdp_solve(p: SosProblem, max_iter: int = 50000) -> SolveResult:
     """Projection splitting between the coefficient equations and the PSD
     cone, in the reflect-reflect-average (Douglas-Rachford / ADMM) form:
 
@@ -267,11 +271,9 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000) -> SolveR
     forms there: coordinate averaging for the affine set, eigen-clip at 0
     block by block for the cone. Terminates when the affine shadow Qa has
     both residuals (affine max-norm violation, most negative block
-    eigenvalue) below tol; Qa is returned as a dense matrix, exactly 0 off
+    eigenvalue) below TOL; Qa is returned as a dense matrix, exactly 0 off
     the blocks. Deterministic: starts from Q = 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     L = p.layout
     v = np.zeros(L.rows.size)
     va = v
@@ -281,7 +283,7 @@ def sdp_solve(p: SosProblem, tol: float = 1e-9, max_iter: int = 50000) -> SolveR
         va = _project_affine(p, v)
         psd = max(0.0, -_min_eigenvalue(L, va))
         aff = affine_residual(p, va)
-        if psd <= tol and aff <= tol:
+        if psd <= TOL and aff <= TOL:
             status, it = "CONVERGED", n
             break
         v = v + (_clip_psd(L, 2 * va - v) - va)
@@ -354,7 +356,6 @@ def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    tol: float = 1e-9
     max_iter: int = 50000
     max_den: int = 10 ** 4  # the largest denominator tried
 
@@ -391,10 +392,12 @@ def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) ->
     the call `ssc verify` makes, and a violation raises ArithmeticError.
     The returned certificate always passes both exact checks. On NOT_FOUND
     the failing stage is sdp_solve if the solve did not converge, else
-    verify_psd.
+    verify_psd. A max_den below 1 raises ValueError before any work.
     """
+    if config.max_den < 1:
+        raise ValueError("max_den must be >= 1")
     p = assemble(cand, c)
-    solve = sdp_solve(p, tol=config.tol, max_iter=config.max_iter)
+    solve = sdp_solve(p, max_iter=config.max_iter)
     attempts = []
     for d in _denominator_ladder(config.max_den):
         cert = rationalize(p, solve.Q, max_den=d)

@@ -3,15 +3,29 @@
 It imports only the standard library and `exactq`, so a reader can audit
 the trust anchor without numpy and start it without loading numpy. It
 holds the certificate format, the base graphs a certificate may name, the
-exact entrywise second additive compound psi, the right-hand sides of the
+exact k-th additive compound and psi, the right-hand sides of the
 coefficient equations, and the two exact checks: the polynomial identity
 compared over Q, and PSD of Q by exact LDL^T (`exactq.ldl_psd_check`).
 See the `certify` module docstring for the identity and its equations.
+
+The orthonormal basis of the antisymmetric subspace of R^n (x) R^n is
+(e_i (x) e_j - e_j (x) e_i)/sqrt(2) for i < j, ordered lexicographically by
+(i, j) (`wedge_pairs`). That ordering is normative repo-wide: the
+certificate file format and the coefficient equations index wedge
+coordinates by it. psi(M) = P^T (M (x) I + I (x) M) P, with P the matrix
+of that basis, has spectrum {lambda_i + lambda_j : i < j}. The 1/sqrt(2)
+factors cancel, and psi is the k = 2 compound, entrywise
+
+    psi(M)[(i,j),(k,l)] = M_ik d_jl + M_jl d_ik - M_il d_jk - M_jk d_il
+
+(d = Kronecker delta). `ssc compound` runs `additive_compound`, and
+`compound.psi` adapts `psi` to float input.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,36 +62,53 @@ def wedge_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(1, n + 1), 2))
 
 
-def psi(M) -> QMatrix:
-    """Second additive compound of a square rational matrix on the wedge
-    basis (pairs i < j in lexicographic order, see `compound`), by the
-    exact entrywise formula
+#: the largest C(n, k) that additive_compound builds: its output is a dense
+#: C(n, k) x C(n, k) matrix, and `ssc compound` prints every entry
+MAX_COMPOUND_DIM = 1000
 
-        psi(M)[(i,j),(k,l)] = M_ik d_jl + M_jl d_ik - M_il d_jk - M_jk d_il
 
-    (d = Kronecker delta), summed over the nonzero entries of M only; an
-    entry of the output that no entry of M reaches, which covers every pair
-    of wedge pairs sharing no index, is the one shared exactq._ZERO."""
-    rows = [[_as_fraction(x) for x in row] for row in M]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+def additive_compound(M, k: int) -> QMatrix:
+    """k-th additive compound of a square rational matrix over the
+    k-subsets of 1..n in lexicographic order, exactly.
+
+    Each nonzero entry M_xy lands on (R + {x}, R + {y}) for every
+    (k-1)-subset R of the indices other than x and y, negated when an odd
+    number of R lies strictly between x and y: a diagonal entry M_xx adds
+    to every subset holding x, an off-diagonal one swaps x out for y. An
+    output entry that no entry of M reaches, which covers every pair of
+    subsets more than one swap apart, is the one shared exactq._ZERO.
+    C(n, k) is checked against MAX_COMPOUND_DIM before any entry is read.
+    """
+    n = len(M)
+    if any(len(r) != n for r in M):
         raise ValueError("M must be square")
-    if n < 2:
-        raise ValueError("psi needs dim >= 2")
-    pairs = wedge_pairs(n)
-    index = {p: a for a, p in enumerate(pairs)}
-    out: QMatrix = [[_ZERO] * len(pairs) for _ in pairs]
-    # M_xy lands on the pairs (x, t) and (y, t) for every t outside {x, y},
-    # with sign - when t lies between x and y
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    N = math.comb(n, k)
+    if N > MAX_COMPOUND_DIM:
+        raise ValueError(f"the compound has C({n},{k}) = {N} rows, "
+                         f"above the limit {MAX_COMPOUND_DIM}")
+    rows = [[_as_fraction(x) for x in r] for r in M]
+    index = {s: a for a, s in enumerate(itertools.combinations(range(1, n + 1), k))}
+    out: QMatrix = [[_ZERO] * N for _ in range(N)]
     for x, row in enumerate(rows, 1):
         for y, v in enumerate(row, 1):
             if not v:
                 continue
-            for t in range(1, n + 1):
-                if t != x and t != y:
-                    a, b = index[min(x, t), max(x, t)], index[min(y, t), max(y, t)]
-                    out[a][b] += v if (x < t) == (y < t) else -v
+            lo, hi = min(x, y), max(x, y)
+            others = [t for t in range(1, n + 1) if t != x and t != y]
+            for R in itertools.combinations(others, k - 1):
+                a, b = index[tuple(sorted(R + (x,)))], index[tuple(sorted(R + (y,)))]
+                out[a][b] += -v if sum(lo < t < hi for t in R) % 2 else v
     return out
+
+
+def psi(M) -> QMatrix:
+    """The second additive compound on the wedge basis (module docstring);
+    a matrix below 2 x 2 has none."""
+    if len(M) < 2:
+        raise ValueError("psi needs dim >= 2")
+    return additive_compound(M, 2)
 
 
 def _support(M) -> list:

@@ -1,12 +1,14 @@
 """Command-line surface: `ssc <command>`.
 
 Commands: spectrum, search, optimize, certify, verify, compound. Output is
-machine-parseable `key: value` lines (append --human for formatted tables);
-every command is deterministic under a fixed --seed (default: env SSC_SEED,
-else 0). Exit codes: 0 success/PASS, 1 FAIL/NOT_FOUND, 2 usage/parse error.
+machine-parseable `key: value` lines (append --human for formatted tables).
+Every command is deterministic: only `optimize` draws random numbers, from
+--seed (default: env SSC_SEED, else 0). Exit codes: 0 success/PASS,
+1 FAIL/NOT_FOUND, 2 usage/parse error.
 
 The parser needs only `check`'s base table, and each command imports the
-modules it uses, so `ssc verify` runs without loading numpy.
+modules it uses, so `ssc verify` and `ssc compound` run without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ def default_seed() -> int:
         raise ValueError(f"SSC_SEED must be an integer, got {raw!r}")
 
 
-def _resolve_seed(seed) -> int:
-    return default_seed() if seed is None else int(seed)
-
-
 def cmd_spectrum(path: str) -> RunReport:
     from . import graphs
 
@@ -112,7 +110,7 @@ def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
     from . import stepmodel
 
     t0 = time.perf_counter()
-    seed = _resolve_seed(seed)
+    seed = default_seed() if seed is None else int(seed)
     cand = stepmodel.candidate(name)
     if weights is None:
         u, val = stepmodel.maximize_sigma(cand, restarts=restarts, seed=seed)
@@ -147,15 +145,13 @@ def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
 
 
 def cmd_certify(name: str, bound: str = "8/7", max_den: int = 10 ** 4,
-                tol: float = 1e-9, max_iter: int = 50000,
-                seed: int | None = None, out: str | None = None) -> RunReport:
+                max_iter: int = 50000, out: str | None = None) -> RunReport:
     from . import certify as certify_mod
 
     t0 = time.perf_counter()
-    seed = _resolve_seed(seed)
     cand = certify_mod.cert_base(name)
     c = exactq.parse_rational(bound)
-    cfg = certify_mod.CertifyConfig(tol=tol, max_iter=max_iter, max_den=max_den)
+    cfg = certify_mod.CertifyConfig(max_iter=max_iter, max_den=max_den)
     r = certify_mod.certify(cand, c, cfg)
     results = [("candidate", name), ("bound", exactq.format_rational(c)),
                ("status", r.status),
@@ -175,8 +171,7 @@ def cmd_certify(name: str, bound: str = "8/7", max_den: int = 10 ** 4,
     else:
         results.append(("failing_stage", r.stage))
         status = 1
-    cfg_echo = (("max_den", str(max_den)), ("tol", _f(tol)),
-                ("max_iter", str(max_iter)), ("seed", str(seed)))
+    cfg_echo = (("max_den", str(max_den)), ("max_iter", str(max_iter)))
     return RunReport("certify", cfg_echo, tuple(results),
                      time.perf_counter() - t0, status=status)
 
@@ -214,11 +209,9 @@ def cmd_verify(path: str) -> RunReport:
 
 
 def cmd_compound(path: str, k: int) -> RunReport:
-    from . import compound
-
     t0 = time.perf_counter()
     M = exactq.read_matrix_q(_read_text(path))
-    C = compound.additive_compound(M, k)
+    C = check.additive_compound(M, k)
     results = [("n", str(len(M))), ("k", str(k)), ("dim", str(len(C))),
                ("arithmetic", "exact")]
     results += [("row", " ".join(map(exactq.format_rational, row))) for row in C]
@@ -264,15 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default="8/7")
     p.add_argument("--max-den", type=int, default=10 ** 4,
                    help="largest denominator tried")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=50000)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="certificate path "
                    "(default <candidate>_certificate.txt)")
     p.set_defaults(run=lambda a: cmd_certify(a.candidate, bound=a.bound,
-                                             max_den=a.max_den, tol=a.tol,
-                                             max_iter=a.max_iter, seed=a.seed,
-                                             out=a.out))
+                                             max_den=a.max_den,
+                                             max_iter=a.max_iter, out=a.out))
 
     p = sub.add_parser("verify", help="exactly verify a certificate file")
     p.add_argument("file")

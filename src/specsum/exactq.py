@@ -199,7 +199,8 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     in its row (indefinite 2x2 principal minor), yields a witness vector in
     residual coordinates that is pulled back through the recorded columns
     and zero-extended; its quadratic form on Q must be negative, and is
-    returned as the witness's value.
+    returned as the witness's value. It is evaluated on the component's
+    submatrix, as the witness is zero off the component.
 
     Converting Q, splitting it into components and re-multiplying the
     decomposition touch only nonzero entries. The re-multiplication is
@@ -211,12 +212,13 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     decomp = []
     R = [{} for _ in range(n)]  # the re-multiplied decomposition, as nz
     for comp in _components(nz):
-        cols, vals, y = _eliminate([[nz[i].get(j, _ZERO) for j in comp] for i in comp])
+        sub = [[nz[i].get(j, _ZERO) for j in comp] for i in comp]
+        cols, vals, y = _eliminate(sub)
         if y is not None:
             z = [_ZERO] * n
             for i, yi in zip(comp, y):
                 z[i] = yi
-            value = q_eval([[row.get(j, _ZERO) for j in range(n)] for row in nz], z)
+            value = q_eval(sub, y)  # z is zero off the component
             if not value < 0:
                 raise ArithmeticError("internal error: witness is not negative")
             return PsdWitness(verdict=NOT_PSD, counterexample=tuple(z), value=value)

@@ -109,6 +109,34 @@ def additive_compound_fd(M: np.ndarray, k: int, h: float = 1e-6) -> np.ndarray:
             - multiplicative_compound(I - h * M, k)) / (2 * h)
 
 
+def additive_compound_pairs(M, k: int):
+    """k-th additive compound of a rational matrix over k-subsets in
+    lexicographic order, by a scan of all C(n,k)^2 pairs of subsets.
+
+    diagonal (alpha, alpha): sum of m_ii over i in alpha;
+    |alpha ^ beta| = k-1: sign(alpha, beta) * m_ij with {i} = alpha \\ beta,
+    {j} = beta \\ alpha, sign = (-1)^#{r in alpha ^ beta strictly between
+    i and j}; zero otherwise.
+
+    check.additive_compound, which visits only the nonzero entries of M,
+    is checked against it.
+    """
+    n = len(M)
+    subsets = [frozenset(s) for s in itertools.combinations(range(1, n + 1), k)]
+    out = [[Fraction(0)] * len(subsets) for _ in subsets]
+    for a, sa in enumerate(subsets):
+        out[a][a] = sum((Fraction(M[i - 1][i - 1]) for i in sa), Fraction(0))
+        for b, sb in enumerate(subsets):
+            inter = sa & sb
+            if a == b or len(inter) != k - 1:
+                continue
+            (i,), (j,) = sa - inter, sb - inter
+            lo, hi = min(i, j), max(i, j)
+            sign = -1 if sum(lo < r < hi for r in inter) % 2 else 1
+            out[a][b] = sign * Fraction(M[i - 1][j - 1])
+    return out
+
+
 def wedge_basis(n: int) -> np.ndarray:
     """The n^2 x C(n,2) matrix whose columns are the orthonormal wedge basis
     (e_i (x) e_j - e_j (x) e_i)/sqrt(2), i < j in lexicographic order."""
@@ -246,19 +274,29 @@ def spot_check_loop(base, c, samples: int = 1000, seed: int = 0) -> float:
 
 def dense_verify_identity(cert, p, max_report: int = 20):
     """Compare both sides of the SOS identity entry by entry over every
-    entry of every coefficient block, with the dense right-hand sides p.R
-    and p.F of an assembled problem for the certificate's base and bound.
-    Returns (ok, violations capped at max_report, entries compared).
+    entry of every coefficient block. The right-hand sides are built by
+    additive_compound_pairs from the adjacency of the base graph of the
+    assembled problem p, which supplies only the base, the bound and the
+    dimensions. Returns (ok, violations capped at max_report, entries
+    compared).
 
     The support-based certify.verify_identity is checked against it.
     """
     m, k = p.m, p.k
     Q, T = cert.Q, cert.T
+    A = p.candidate.graph.adjacency()
     bad = []
     checked = 0
 
     def blk(a, b, r, s):
         return Q[a * m + r][b * m + s]
+
+    def edge_rhs(i, j):
+        """-A_ij psi(E_ij + E_ji), with E_ii once for i = j."""
+        E = [[Fraction(0)] * k for _ in range(k)]
+        E[i - 1][j - 1] = E[j - 1][i - 1] = Fraction(1)
+        a = -int(A[i - 1, j - 1])
+        return [[a * x for x in row] for row in additive_compound_pairs(E, 2)]
 
     for r in range(p.dim):
         for s in range(r + 1, p.dim):
@@ -278,25 +316,25 @@ def dense_verify_identity(cert, p, max_report: int = 20):
             if got != want:
                 bad.append(("1", r, s, got, want))
     for i in range(1, k + 1):
-        Ri = p.R[i - 1]
+        sq = edge_rhs(i, i)
         for r in range(m):
             for s in range(m):
                 checked += 2
                 got = blk(0, i, r, s) + blk(i, 0, r, s)
                 if got != 0:
                     bad.append((f"x_{i}", r, s, got, Fraction(0)))
-                # x_i^2: Q_ii - T = R_i - c*I
-                want = Ri[r][s] - (p.c if r == s else Fraction(0))
+                # x_i^2: Q_ii - T = -A_ii psi(E_ii)
+                want = sq[r][s]
                 got = blk(i, i, r, s) - T[r][s]
                 if got != want:
                     bad.append((f"x_{i}^2", r, s, got, want))
-    for i, j in p.pairs:
-        Fm = p.F[(i, j)]
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        two_f = edge_rhs(i, j)
         for r in range(m):
             for s in range(m):
                 checked += 1
                 got = blk(i, j, r, s) + blk(j, i, r, s)
-                want = 2 * Fm[r][s]
+                want = two_f[r][s]
                 if got != want:
                     bad.append((f"x_{i}*x_{j}", r, s, got, want))
     return not bad, tuple(bad[:max_report]), checked

@@ -29,7 +29,7 @@ def h6_cert(tmp_path_factory):
     """One full H6 certification at 8/7; reused by criteria 5, 6, 8."""
     out = tmp_path_factory.mktemp("cert") / "h6.txt"
     t0 = time.perf_counter()
-    rep = cli.cmd_certify("H6", bound="8/7", seed=0, out=str(out))
+    rep = cli.cmd_certify("H6", bound="8/7", out=str(out))
     sdp_s = time.perf_counter() - t0
     assert rep.status == 0 and as_dict(rep)["status"] == "FOUND"
     cert = certify.parse_certificate(out.read_text())

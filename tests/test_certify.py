@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import certify as ct
-from specsum import check, cli, compound, exactq, graphs, stepmodel
-from oracles import dense_verify_identity, spot_check_loop
+from specsum import check, cli, exactq, graphs, stepmodel
+from oracles import additive_compound_pairs, dense_verify_identity, spot_check_loop
 
 C87 = Fraction(8, 7)
 
@@ -130,7 +130,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("name", ["K2", "P3", "P4", "H5", "H6"])
     def test_right_hand_sides_match_additive_compound(self, name):
-        # additive_compound(., 2) builds psi by another route
+        # the all-pairs oracle builds psi by another route
         p = ct.assemble(ct.cert_base(name), C87)
         A = p.candidate.graph.adjacency()
         cI = [[C87 if r == s else 0 for s in range(p.m)] for r in range(p.m)]
@@ -139,7 +139,7 @@ class TestAssemble:
             E = [[Fraction(0)] * p.k for _ in range(p.k)]
             E[i - 1][j - 1] = E[j - 1][i - 1] = Fraction(1)
             return [[-int(A[i - 1, j - 1]) * x for x in row]
-                    for row in compound.additive_compound(E, 2)]
+                    for row in additive_compound_pairs(E, 2)]
 
         def support(M):
             return {(r, s): x for r, row in enumerate(M) for s, x in enumerate(row) if x}
@@ -216,7 +216,7 @@ class TestSdpSolve:
         assert np.abs(r.Q).max() < 1e-9
 
     def test_p3_converges(self, p3_problem):
-        r = ct.sdp_solve(p3_problem, tol=1e-9)
+        r = ct.sdp_solve(p3_problem)
         assert r.status == "CONVERGED"
         assert r.affine_residual <= 1e-9 and r.psd_residual <= 1e-9
         # 97 with the eigen-clip at 0; a clip at a positive margin, which no
@@ -226,20 +226,16 @@ class TestSdpSolve:
     def test_infeasible_bound_stalls(self, p3_problem):
         # 9/8 < 8/7 = attained max, so no certificate exists
         p = ct.assemble(ct.cert_base("P3"), Fraction(9, 8))
-        r = ct.sdp_solve(p, tol=1e-9, max_iter=4000)
+        r = ct.sdp_solve(p, max_iter=4000)
         assert r.status == "NOT_FOUND"
         assert r.psd_residual > 1e-9
 
     def test_h6_below_true_max_stalls(self):
         # same at full scale: sigma reaches 8/7 on H6, so 9/8 is infeasible
         p = ct.assemble(ct.cert_base("H6"), Fraction(9, 8))
-        r = ct.sdp_solve(p, tol=1e-9, max_iter=800)
+        r = ct.sdp_solve(p, max_iter=800)
         assert r.status == "NOT_FOUND"
         assert max(r.psd_residual, r.affine_residual) > 1e-9
-
-    def test_parameter_validation(self, p3_problem):
-        with pytest.raises(ValueError):
-            ct.sdp_solve(p3_problem, tol=0.0)
 
 
 class TestRationalize:
@@ -468,7 +464,15 @@ class TestCertify:
 
     def test_config_has_only_the_cli_fields(self):
         assert [f.name for f in dataclasses.fields(ct.CertifyConfig)] == \
-            ["tol", "max_iter", "max_den"]
+            ["max_iter", "max_den"]
+
+    @pytest.mark.parametrize("max_den", [0, -3])
+    def test_max_den_below_one_refused_before_solving(self, monkeypatch, max_den):
+        calls = []
+        monkeypatch.setattr(ct, "sdp_solve", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="max_den must be >= 1"):
+            ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_den=max_den))
+        assert calls == []
 
 
 class TestBaseTable:

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import specsum
-from specsum import cli, compound, graphs
+from specsum import check, cli, graphs
 from oracles import K722_SUM, PATH4_SUM
 
 
@@ -318,7 +318,7 @@ class TestCompound:
         err = capsys.readouterr().err
         assert code == 2
         assert err == (f"error: the compound has C(16,8) = 12870 rows, "
-                       f"above the limit {compound.MAX_COMPOUND_DIM}\n")
+                       f"above the limit {check.MAX_COMPOUND_DIM}\n")
         assert peak < 10 ** 6
 
     def test_bad_k(self, capsys, tmp_path):
@@ -342,6 +342,13 @@ class TestSeedFallback:
     def test_invalid_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SSC_SEED", "seventeen")
         assert cli.main(["optimize", "P3", "--restarts", "5"]) == 2
+
+    def test_certify_reads_no_seed(self, capsys, monkeypatch, tmp_path):
+        # certify draws no random number, so SSC_SEED is not its business
+        monkeypatch.setenv("SSC_SEED", "abc")
+        code, out = run(capsys, "certify", "K2", "--out", str(tmp_path / "k2.txt"))
+        assert code == 0
+        assert "seed" not in kv(out) and "tol" not in kv(out)
 
 
 class TestDeterminism:
@@ -372,6 +379,15 @@ class TestImports:
             "assert 'numpy' not in sys.modules, 'numpy loaded'; sys.exit(code)" % str(cert))
         assert proc.returncode == 0, proc.stderr
         assert "verdict: PASS" in proc.stdout
+
+    def test_compound_loads_no_numpy(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("3\n1 2 0\n-1/2 0 3\n0 0 5\n")
+        proc = run_python(
+            "import sys; from specsum.cli import main; code = main(['compound', %r, '2']); "
+            "assert 'numpy' not in sys.modules, 'numpy loaded'; sys.exit(code)" % str(f))
+        assert proc.returncode == 0, proc.stderr
+        assert "row: 1/1 3/1 0/1" in proc.stdout
 
     def test_package_import_loads_no_numpy(self):
         proc = run_python("import sys, specsum; assert 'numpy' not in sys.modules")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import check, compound
-from oracles import additive_compound_fd, pair_sums, psi_kron, rational_matrix, wedge_basis
+from oracles import (additive_compound_fd, additive_compound_pairs, pair_sums, psi_kron,
+                     rational_matrix, wedge_basis)
 
 
 def sym(seed, n):
@@ -22,7 +23,7 @@ def exact(M):
 
 def compound_f(M, k):
     """The exact k-th compound of a float matrix, rounded to floats once."""
-    return np.array(compound.additive_compound(exact(M), k), dtype=float)
+    return np.array(check.additive_compound(exact(M), k), dtype=float)
 
 
 class TestWedgeBasis:
@@ -140,11 +141,25 @@ class TestAdditiveCompound:
     def test_k2_equals_psi(self):
         # exact arithmetic: entrywise identical rationals
         Mq = rational_matrix(np.random.default_rng(2), 5)
-        assert compound.additive_compound(Mq, 2) == compound.psi(Mq)
+        assert additive_compound_pairs(Mq, 2) == compound.psi(Mq)
         # float: psi reads Mf exactly and rounds each entry once, as does
         # the exact compound of Mf rounded once, so they agree on the nose
         Mf = sym(3, 6)
-        assert np.array_equal(compound_f(Mf, 2), compound.psi(Mf))
+        want = np.array(additive_compound_pairs(exact(Mf), 2), dtype=float)
+        assert np.array_equal(want, compound.psi(Mf))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_all_pairs_oracle(self, data):
+        # sparse, non-symmetric rationals, every k: only the nonzero
+        # entries are visited, and every sign comes from the swap position
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, n))
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=9))
+        M = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        assert check.additive_compound(M, k) == additive_compound_pairs(M, k)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(3, 5), st.integers(2, 4))
@@ -180,16 +195,16 @@ class TestAdditiveCompound:
     def test_k_bounds(self):
         M = exact(sym(4, 3))
         with pytest.raises(ValueError):
-            compound.additive_compound(M, 0)
+            check.additive_compound(M, 0)
         with pytest.raises(ValueError):
-            compound.additive_compound(M, 4)
+            check.additive_compound(M, 4)
 
 
 class TestSignMatrix:
-    # psi and the k = 2 compound share one sign convention, so the sign
-    # matrix between them is the identity and they agree on the nose
+    # psi and the all-pairs k = 2 compound share one sign convention, so
+    # the sign matrix between them is the identity and they agree on the nose
     def test_global_agreement_it_certifies(self):
         rng = np.random.default_rng(5)
         for n in (3, 4, 6):
             Mq = rational_matrix(rng, n)
-            assert compound.psi(Mq) == compound.additive_compound(Mq, 2)
+            assert compound.psi(Mq) == additive_compound_pairs(Mq, 2)
