@@ -28,6 +28,14 @@ from .graphs import Graph, graph
 
 SIMPLEX_TOL = 1e-12
 
+#: most Dirichlet restarts maximize_sigma takes; its stacks hold
+#: 50 + restarts matrices, about 30 MB at k = 6 and this cap
+MAX_RESTARTS = 10 ** 5
+#: Armijo steps t = 2^-1 ... 2^-39 (the halvings of 1/2 above 1e-12), exact
+_STEPS = 0.5 ** np.arange(1, 40)
+#: most ascent iterations per start
+_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class CandidateGraph:
@@ -138,15 +146,21 @@ def _sigma_grad(A: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, G
 
 
-def _ascend(A: np.ndarray, U0: np.ndarray, rng,
-            max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def _ascend(A: np.ndarray, U0: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent from every row of U0 at once; a row stops
-    at a zero gradient or when no step down to 1e-12 passes Armijo."""
+    at a zero gradient or when no step in _STEPS passes Armijo.
+
+    The line search tries the steps largest first, as many at a time as
+    fit in B = U0.shape[0] matrices: each pass stacks the rows still
+    searching against their next max(1, B // rows) steps, and a row takes
+    its first step that passes. No stacked eigensolve is larger than the
+    one that scores the starts.
+    """
     B, k = U0.shape
     U = numerics.project_simplex(U0)
     vals = _sigma_batch(A, U)
     active = np.ones(B, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
@@ -163,14 +177,18 @@ def _ascend(A: np.ndarray, U0: np.ndarray, rng,
         flat = gnorm2 < 1e-18
         active[rows[flat]] = False
         rows, G, gnorm2 = rows[~flat], G[~flat], gnorm2[~flat]
-        t = 0.5
-        while t > 1e-12 and rows.size:
-            cand = numerics.project_simplex(U[rows] + t * G)
-            cvals = _sigma_batch(A, cand)
-            ok = cvals > vals[rows] + 1e-4 * t * gnorm2
-            U[rows[ok]], vals[rows[ok]] = cand[ok], cvals[ok]
-            rows, G, gnorm2 = rows[~ok], G[~ok], gnorm2[~ok]
-            t /= 2.0
+        s = 0
+        while s < _STEPS.size and rows.size:
+            t = _STEPS[s:s + max(1, B // rows.size)]
+            cand = numerics.project_simplex(
+                (U[rows, None, :] + t[:, None] * G[:, None, :]).reshape(-1, k))
+            cvals = _sigma_batch(A, cand).reshape(rows.size, t.size)
+            ok = cvals > vals[rows, None] + 1e-4 * t * gnorm2[:, None]
+            hit = ok.any(axis=1)
+            first = np.flatnonzero(hit) * t.size + ok[hit].argmax(axis=1)
+            U[rows[hit]], vals[rows[hit]] = cand[first], cvals.ravel()[first]
+            rows, G, gnorm2 = rows[~hit], G[~hit], gnorm2[~hit]
+            s += t.size
         active[rows] = False
     return U, vals
 
@@ -185,13 +203,19 @@ def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
     the 50 best grid points (at k = 6 the grid has ~12k) and every Dirichlet
     point, all climbing as one stack: per iteration one stacked eigensolve,
     the analytic gradient (one-sided on zero weights, see _sigma_grad) and
-    Armijo halving per row. A row at a lambda2 = lambda3 kink, where sigma
-    has no gradient, instead takes a small seeded random step. The best
-    grid point is kept unless a climb beats it by more than 8 ulps; equal
-    climbed values go to the lexicographically smaller u.
+    an Armijo line search over t = 2^-1 ... 2^-39 that tries several steps
+    per eigensolve once few rows are left searching, never stacking more
+    than the 50 + restarts matrices of the starts (see _ascend). A row at
+    a lambda2 = lambda3 kink, where sigma has no gradient, instead takes a
+    small seeded random step. The best grid point is kept unless a climb
+    beats it by more than 8 ulps; equal climbed values go to the
+    lexicographically smaller u. More than MAX_RESTARTS restarts is
+    refused before anything is allocated.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts {restarts} is above the limit {MAX_RESTARTS}")
     A = cand.graph.adjacency()
     k = cand.k
     rng = np.random.default_rng(seed)

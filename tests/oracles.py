@@ -1,7 +1,8 @@
 """Independent cross-checks used by the tests.
 
 Everything here is deliberately written by a different route than the
-package code: closed forms, brute force over bitmasks, minor expansions.
+package code: closed forms, brute force over bitmasks, minor expansions,
+and the plain one-step-at-a-time loop that a batched fast path replaced.
 The frozen P3 constants were derived symbolically once (see
 scripts/derive_p3_extremal.py, which re-derives and re-checks them); tests
 compare against these literals, not against package output.
@@ -12,6 +13,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from specsum import numerics, stepmodel
 
 # --- frozen extremal data for the looped path on 3 vertices ---------------
 # maximizer of sigma over the simplex and the step values there
@@ -206,6 +209,48 @@ def fd_ascend(A: np.ndarray, u0: np.ndarray, rng, project, h: float = 1e-6,
         else:
             break
     return u, val
+
+
+def halving_ascend(A: np.ndarray, U0: np.ndarray, rng,
+                   max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent from every row of U0 at once; a row stops
+    at a zero gradient or when no step down to 1e-12 passes Armijo.
+
+    The stacked ascent as it was with one stacked eigensolve per halving
+    of t; stepmodel._ascend, which tries several steps per eigensolve,
+    must return the same bytes.
+    """
+    B, k = U0.shape
+    U = numerics.project_simplex(U0)
+    vals = stepmodel._sigma_batch(A, U)
+    active = np.ones(B, dtype=bool)
+    for _ in range(max_iter):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        w, G = stepmodel._sigma_grad(A, U[live])
+        kink = w[:, -2] - w[:, -3] < 1e-9 if k >= 3 else np.zeros(live.size, bool)
+        if kink.any():
+            rows = live[kink]
+            U[rows] = numerics.project_simplex(
+                U[rows] + 1e-7 * rng.standard_normal((rows.size, k)))
+            vals[rows] = stepmodel._sigma_batch(A, U[rows])
+        rows, G = live[~kink], G[~kink]
+        G -= G.mean(axis=1, keepdims=True)  # tangent of the simplex
+        gnorm2 = np.einsum("ij,ij->i", G, G)
+        flat = gnorm2 < 1e-18
+        active[rows[flat]] = False
+        rows, G, gnorm2 = rows[~flat], G[~flat], gnorm2[~flat]
+        t = 0.5
+        while t > 1e-12 and rows.size:
+            cand = numerics.project_simplex(U[rows] + t * G)
+            cvals = stepmodel._sigma_batch(A, cand)
+            ok = cvals > vals[rows] + 1e-4 * t * gnorm2
+            U[rows[ok]], vals[rows[ok]] = cand[ok], cvals[ok]
+            rows, G, gnorm2 = rows[~ok], G[~ok], gnorm2[~ok]
+            t /= 2.0
+        active[rows] = False
+    return U, vals
 
 
 def dense_ldl_psd_check(Q):

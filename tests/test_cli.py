@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import specsum
-from specsum import check, cli, graphs
+from specsum import check, cli, graphs, stepmodel
 from oracles import K722_SUM, PATH4_SUM
 
 
@@ -161,6 +161,20 @@ class TestOptimize:
         assert code == 0
         resid = [float(x) for x in kv(out)["ellipse_residual"].split()]
         assert max(map(abs, resid)) <= 1e-14
+
+    def test_restarts_cap(self, capsys):
+        # refused before the Dirichlet stack of N * k floats is allocated
+        n = stepmodel.MAX_RESTARTS + 1
+        tracemalloc.start()
+        try:
+            code = cli.main(["optimize", "H6", "--restarts", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: restarts {n} is above the limit {stepmodel.MAX_RESTARTS}\n"
+        assert peak < 10 ** 6
 
     def test_human_table(self, capsys):
         code, out = run(capsys, "--human", "optimize", "P3", "--restarts", "5")

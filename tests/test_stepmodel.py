@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from specsum import graphs, numerics, stepmodel
 from oracles import (P3_ALPHA, P3_BETA, P3_KAPPA, P3_MU, P3_SIGMA_STAR,
-                     P3_SPECTRUM, P3_U_STAR, fd_ascend, top_two_sum)
+                     P3_SPECTRUM, P3_U_STAR, fd_ascend, halving_ascend,
+                     top_two_sum)
 
 CANDIDATE_NAMES = ("P3", "P4", "H5", "H6")
 
@@ -178,6 +179,63 @@ class TestStackedAscent:
         assert vals.max() <= 8 / 7 + 1e-12
         # each start climbs as far as the oracle's, on average
         assert vals.mean() >= oracle.mean() - 1e-7
+
+
+def ascent_starts(cand, kind, B, seed):
+    """B starts of one kind: Dirichlet points, points on simplex faces (some
+    weights zero) or lambda2 = lambda3 kink points (a vertex of the simplex,
+    or weight on one edge's two ends only, where M* has rank 1)."""
+    rng = np.random.default_rng(seed)
+    k = cand.k
+    U = rng.dirichlet(np.ones(k), size=B)
+    if kind == "faces":
+        U[rng.random((B, k)) < 0.4] = 0.0
+        U[np.arange(B), rng.integers(0, k, B)] += 0.1  # keep every row nonzero
+        U /= U.sum(axis=1, keepdims=True)
+    elif kind == "kinks":
+        edges = [e for e in cand.graph.edges if e[0] != e[1]]
+        U = np.zeros((B, k))
+        for r in range(B):
+            i, j = edges[rng.integers(len(edges))]
+            a = rng.random() if r % 2 else 1.0
+            U[r, i - 1], U[r, j - 1] = a, 1.0 - a
+    return U
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("B", [1, 7, 60])
+    @pytest.mark.parametrize("kind", ["dirichlet", "faces", "kinks"])
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_matches_halving_oracle(self, name, kind, B):
+        cand = stepmodel.candidate(name)
+        A = cand.graph.adjacency()
+        U0 = ascent_starts(cand, kind, B, seed=B)
+        if kind == "kinks":
+            w = np.linalg.eigvalsh(A * np.sqrt(U0[:, None, :] * U0[:, :, None]))
+            assert np.all(w[:, -2] - w[:, -3] < 1e-9)
+        U, vals = stepmodel._ascend(A, U0.copy(), np.random.default_rng(5))
+        U_ref, vals_ref = halving_ascend(A, U0.copy(), np.random.default_rng(5))
+        assert U.tobytes() == U_ref.tobytes()
+        assert vals.tobytes() == vals_ref.tobytes()
+
+    @pytest.mark.parametrize("restarts", [1, 40])
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_stacks_never_exceed_the_starts(self, monkeypatch, name, restarts):
+        # after the grid is scored, no eigensolve stacks more than the
+        # 50 + restarts starts, so peak memory does not grow with the search
+        sizes = []
+        inner = stepmodel._sigma_batch
+
+        def recording(A, U):
+            sizes.append(U.shape[0])
+            return inner(A, U)
+
+        monkeypatch.setattr(stepmodel, "_sigma_batch", recording)
+        cand = stepmodel.candidate(name)
+        stepmodel.maximize_sigma(cand, restarts=restarts, seed=2)
+        assert sizes[0] == stepmodel.simplex_grid(cand.k, 14).shape[0]
+        assert len(sizes) > 2
+        assert max(sizes[1:]) <= 50 + restarts
 
 
 class TestStepEigs:
