@@ -3,12 +3,13 @@
 Run:  python scripts/optimize_candidates.py [--restarts N] [--seed S]
 
 For each candidate loop-decorated graph this maximizes
-sigma(u) = mu1 + mu2 of M*(u) = D_u^{1/2} A D_u^{1/2} over the simplex,
-then reports the eigendata at the optimum, the per-block ellipse residuals
-mu1 a_i^2 + mu2 b_i^2 - (mu1 + mu2), and the kappa adjacency table.  The
-headline numbers: every candidate tops out at 8/7, P3/P4 land on an induced
-path with weights (2/7, 3/7, 2/7), and the H5/H6 optima collapse onto an
-induced P3 inside the larger graph.
+sigma(u) = mu1 + mu2 of M*(u) = D_u^{1/2} A D_u^{1/2} over the simplex
+(the best point of the 1/14 grid, unless one of N Dirichlet probes beats
+it by more than 8 ulps), then reports the eigendata at the optimum, the
+per-block ellipse residuals mu1 a_i^2 + mu2 b_i^2 - (mu1 + mu2), and the
+kappa adjacency table.  The headline numbers: every candidate tops out at
+8/7, P3/P4 land on an induced path with weights (2/7, 3/7, 2/7), and the
+H5/H6 optima collapse onto an induced P3 inside the larger graph.
 """
 
 import argparse
@@ -48,7 +49,8 @@ def show(name, restarts, seed):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--restarts", type=int, default=200)
+    ap.add_argument("--restarts", type=int, default=200,
+                    help="Dirichlet probes scored besides the 1/14 grid")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     for name in ("P3", "P4", "H5", "H6"):

@@ -157,11 +157,11 @@ class Certificate:
 @dataclass(frozen=True)
 class IdentityReport:
     ok: bool
-    violations: tuple  # (coefficient, row, col, got, want), capped
+    violations: tuple  # (coefficient, row, col, got, want), all of them
     checked: int  # entries compared explicitly: the union of supports
 
 
-def verify_identity(cert: Certificate, max_report: int = 20) -> IdentityReport:
+def verify_identity(cert: Certificate) -> IdentityReport:
     """Exact coefficientwise comparison of both sides of the identity.
 
     Expands V(x)^T Q V(x) + (1-|x|^2) T and c*I - psi(M*(x)) as quadratic
@@ -175,7 +175,8 @@ def verify_identity(cert: Certificate, max_report: int = 20) -> IdentityReport:
     the nonzeros of the blocks of Q and T it reads and of its right-hand
     side. Off that union every term on both sides is exactly 0, so the
     check is complete; `checked` counts the entries on the unions.
-    Violations come in the order of a dense row-major scan.
+    Every violation is returned, at most one per entry compared, in the
+    order of a dense row-major scan.
     """
     k, edges = base(cert.candidate)
     m, rhs = k * (k - 1) // 2, coefficient_rhs(k, edges, cert.c)
@@ -225,7 +226,7 @@ def verify_identity(cert: Certificate, max_report: int = 20) -> IdentityReport:
         oi, oj = i * m, j * m
         bad += check(f"x_{i}*x_{j}", on(i, j) | on(j, i),
                      lambda r, s: Q[oi + r][oj + s] + Q[oj + r][oi + s])
-    return IdentityReport(ok=not bad, violations=tuple(bad[:max_report]), checked=checked)
+    return IdentityReport(ok=not bad, violations=tuple(bad), checked=checked)
 
 
 def verify_psd(cert: Certificate) -> exactq.PsdWitness:

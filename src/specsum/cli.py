@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize sigma over simplex weights")
     p.add_argument("candidate", choices=sorted(check.CANDIDATES))
-    p.add_argument("--restarts", type=int, default=200)
+    p.add_argument("--restarts", type=int, default=200,
+                   help="Dirichlet probes scored besides the 1/14 grid")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--weights", default=None, metavar="W1,W2,...",
                    help="evaluate at these weights (rationals or decimals) "

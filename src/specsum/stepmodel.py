@@ -14,6 +14,8 @@ each with a loop on every vertex. All four are true-twin-free. The maximum
 of sigma over the simplex is 8/7 for every one of them; for P3 it is
 attained at u = (2/7, 3/7, 2/7), and the larger bases attain it on
 embedded-path boundary points (e.g. H6 at u = (2/7, 3/7, 0, 2/7, 0, 0)).
+Those points lie on the 1/14 simplex grid, which maximize_sigma scores
+along with a few random probes.
 """
 
 from __future__ import annotations
@@ -28,13 +30,9 @@ from .graphs import Graph, graph
 
 SIMPLEX_TOL = 1e-12
 
-#: most Dirichlet restarts maximize_sigma takes; its stacks hold
-#: 50 + restarts matrices, about 30 MB at k = 6 and this cap
+#: most Dirichlet probes maximize_sigma scores; its probe stack holds
+#: that many k x k matrices, about 30 MB at k = 6 and this cap
 MAX_RESTARTS = 10 ** 5
-#: Armijo steps t = 2^-1 ... 2^-39 (the halvings of 1/2 above 1e-12), exact
-_STEPS = 0.5 ** np.arange(1, 40)
-#: most ascent iterations per start
-_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -128,124 +126,34 @@ def simplex_grid(k: int, mesh: int) -> np.ndarray:
     return (np.diff(cuts, axis=1) - 1) / mesh
 
 
-def _sigma_grad(A: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of each row's M* and the gradient in u of
-    lambda1 + lambda2: d lambda/d u_i = v_i (A(s o v))_i / s_i, s = sqrt(u).
-    M v = lambda v gives v_i/s_i = (A(s o v))_i/lambda, so on a zero weight
-    the one-sided limit is (A(s o v))_i^2/lambda (0 when lambda <= 0).
-    """
-    S = np.sqrt(U)
-    w, V = np.linalg.eigh(A[None, :, :] * (S[:, None, :] * S[:, :, None]))
-    G = np.zeros_like(U)
-    for c in (-1, -2):
-        v = V[:, :, c]
-        r = (S * v) @ A
-        q = np.divide(v, S, out=np.zeros_like(v), where=S > 0)
-        np.divide(r, w[:, c, None], out=q, where=(S == 0) & (w[:, c, None] > 0))
-        G += r * q
-    return w, G
-
-
-def _ascend(A: np.ndarray, U0: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent from every row of U0 at once; a row stops
-    at a zero gradient or when no step in _STEPS passes Armijo.
-
-    The line search tries the steps largest first, as many at a time as
-    fit in B = U0.shape[0] matrices: each pass stacks the rows still
-    searching against their next max(1, B // rows) steps, and a row takes
-    its first step that passes. No stacked eigensolve is larger than the
-    one that scores the starts.
-    """
-    B, k = U0.shape
-    U = numerics.project_simplex(U0)
-    vals = _sigma_batch(A, U)
-    active = np.ones(B, dtype=bool)
-    for _ in range(_MAX_ITER):
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        w, G = _sigma_grad(A, U[live])
-        kink = w[:, -2] - w[:, -3] < 1e-9 if k >= 3 else np.zeros(live.size, bool)
-        if kink.any():
-            rows = live[kink]
-            U[rows] = numerics.project_simplex(
-                U[rows] + 1e-7 * rng.standard_normal((rows.size, k)))
-            vals[rows] = _sigma_batch(A, U[rows])
-        rows, G = live[~kink], G[~kink]
-        G -= G.mean(axis=1, keepdims=True)  # tangent of the simplex
-        gnorm2 = np.einsum("ij,ij->i", G, G)
-        flat = gnorm2 < 1e-18
-        active[rows[flat]] = False
-        rows, G, gnorm2 = rows[~flat], G[~flat], gnorm2[~flat]
-        s = 0
-        while s < _STEPS.size and rows.size:
-            t = _STEPS[s:s + max(1, B // rows.size)]
-            cand = numerics.project_simplex(
-                (U[rows, None, :] + t[:, None] * G[:, None, :]).reshape(-1, k))
-            cvals = _sigma_batch(A, cand).reshape(rows.size, t.size)
-            ok = cvals > vals[rows, None] + 1e-4 * t * gnorm2[:, None]
-            hit = ok.any(axis=1)
-            first = np.flatnonzero(hit) * t.size + ok[hit].argmax(axis=1)
-            U[rows[hit]], vals[rows[hit]] = cand[first], cvals.ravel()[first]
-            rows, G, gnorm2 = rows[~hit], G[~hit], gnorm2[~hit]
-            s += t.size
-        active[rows] = False
-    return U, vals
-
-
 def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
                    seed: int = 0) -> tuple[np.ndarray, float]:
-    """Best (u*, sigma*) from a deterministic 1/14 simplex grid plus
-    Dirichlet(1) restarts, polished by projected ascent.
+    """Best (u*, sigma*) over the 1/14 simplex grid and `restarts`
+    Dirichlet(1) probes drawn from `seed`.
 
-    The grid contains the exact extremal weights (2/7 = 4/14, 3/7 = 6/14),
-    so the result is never below the best grid value. Ascent starts from
-    the 50 best grid points (at k = 6 the grid has ~12k) and every Dirichlet
-    point, all climbing as one stack: per iteration one stacked eigensolve,
-    the analytic gradient (one-sided on zero weights, see _sigma_grad) and
-    an Armijo line search over t = 2^-1 ... 2^-39 that tries several steps
-    per eigensolve once few rows are left searching, never stacking more
-    than the 50 + restarts matrices of the starts (see _ascend). A row at
-    a lambda2 = lambda3 kink, where sigma has no gradient, instead takes a
-    small seeded random step. The best grid point is kept unless a climb
-    beats it by more than 8 ulps; equal climbed values go to the
-    lexicographically smaller u. More than MAX_RESTARTS restarts is
-    refused before anything is allocated.
+    The grid holds the exact extremal weights (2/7 = 4/14, 3/7 = 6/14), so
+    on the catalog bases its first best point is the answer. The grid and
+    the probes, projected onto the simplex, are each scored in one stacked
+    eigensolve. A probe replaces the grid point only if it beats it by more
+    than 8 ulps, so rounding alone never displaces the exact grid point.
+    More than MAX_RESTARTS probes are refused before anything is allocated.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} is above the limit {MAX_RESTARTS}")
     A = cand.graph.adjacency()
-    k = cand.k
-    rng = np.random.default_rng(seed)
-
-    grid = simplex_grid(k, 14)
+    grid = simplex_grid(cand.k, 14)
     grid_vals = _sigma_batch(A, grid)
+    i = int(np.argmax(grid_vals))
+    best_u, best_val = grid[i], float(grid_vals[i])
 
-    # grid rows are in lexicographic order, so the stable sort ranks them
-    # by the tie-break below and order[0] is the best grid point
-    order = np.argsort(-grid_vals, kind="stable")
-    starts = np.vstack([grid[order[:50]],
-                        rng.dirichlet(np.ones(k), size=restarts)])
-    U, vals = _ascend(A, starts, rng)
-    i = np.lexsort((*U.T[::-1], -vals))[0]  # highest value, then smallest u
-    best_u, best_val = grid[order[0]], float(grid_vals[order[0]])
-    # a climb that ends a few ulps above the grid point has found the same
-    # maximum, rounded differently; the exact grid point wins that tie
-    if vals[i] > best_val + 8 * np.finfo(float).eps * abs(best_val):
-        best_u, best_val = U[i], float(vals[i])
-
-    # Optima routinely sit on a simplex face; the projection leaves
-    # weights at roundoff scale (~1e-17) instead of exact zeros, which
-    # would drag phantom blocks into the support downstream. Snap and
-    # keep the snapped point unless it actually costs anything.
-    snapped = np.where(best_u < 1e-9, 0.0, best_u)
-    if snapped.sum() > 0 and not np.array_equal(snapped, best_u):
-        snapped /= snapped.sum()
-        val = _sigma_batch(A, snapped[None, :])[0]
-        if val >= best_val - 1e-9:
-            best_u, best_val = snapped, float(val)
+    rng = np.random.default_rng(seed)
+    probes = numerics.project_simplex(rng.dirichlet(np.ones(cand.k), size=restarts))
+    vals = _sigma_batch(A, probes)
+    j = int(np.argmax(vals))
+    if vals[j] > best_val + 8 * np.finfo(float).eps * abs(best_val):
+        best_u, best_val = probes[j], float(vals[j])
     return best_u, best_val
 
 

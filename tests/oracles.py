@@ -14,8 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from specsum import numerics, stepmodel
-
 # --- frozen extremal data for the looped path on 3 vertices ---------------
 # maximizer of sigma over the simplex and the step values there
 P3_U_STAR = (2 / 7, 3 / 7, 2 / 7)
@@ -170,89 +168,6 @@ def rational_matrix(rng, n: int, den: int = 7, lo: int = -3, hi: int = 3):
     return Q
 
 
-def fd_ascend(A: np.ndarray, u0: np.ndarray, rng, project, h: float = 1e-6,
-              max_iter: int = 100) -> tuple[np.ndarray, float]:
-    """One start of projected gradient ascent on lambda1 + lambda2 of
-    D_u^{1/2} A D_u^{1/2}, with forward-difference gradients (k extra
-    eigensolves per step), scalar Armijo halving and a random step off
-    lambda2 = lambda3 kinks. `project` maps a point onto the simplex.
-
-    The stacked analytic-gradient ascent in stepmodel is checked against it.
-    """
-    def sig(U):
-        S = np.sqrt(np.maximum(U, 0.0))
-        w = np.linalg.eigvalsh(A * (S[..., :, None] * S[..., None, :]))
-        return w[..., -1] + w[..., -2]
-
-    k = u0.size
-    u = project(u0)
-    val = float(sig(u))
-    for _ in range(max_iter):
-        w = np.linalg.eigvalsh(A * np.outer(np.sqrt(u), np.sqrt(u)))
-        if k >= 3 and abs(w[-2] - w[-3]) < 1e-9:
-            u = project(u + 1e-7 * rng.standard_normal(k))
-            val = float(sig(u))
-            continue
-        g = (sig(u[None, :] + h * np.eye(k)) - val) / h
-        g = g - g.mean()
-        gnorm2 = float(g @ g)
-        if gnorm2 < 1e-18:
-            break
-        t = 0.5
-        while t > 1e-12:
-            cand = project(u + t * g)
-            cval = float(sig(cand))
-            if cval > val + 1e-4 * t * gnorm2:
-                u, val = cand, cval
-                break
-            t /= 2.0
-        else:
-            break
-    return u, val
-
-
-def halving_ascend(A: np.ndarray, U0: np.ndarray, rng,
-                   max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent from every row of U0 at once; a row stops
-    at a zero gradient or when no step down to 1e-12 passes Armijo.
-
-    The stacked ascent as it was with one stacked eigensolve per halving
-    of t; stepmodel._ascend, which tries several steps per eigensolve,
-    must return the same bytes.
-    """
-    B, k = U0.shape
-    U = numerics.project_simplex(U0)
-    vals = stepmodel._sigma_batch(A, U)
-    active = np.ones(B, dtype=bool)
-    for _ in range(max_iter):
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        w, G = stepmodel._sigma_grad(A, U[live])
-        kink = w[:, -2] - w[:, -3] < 1e-9 if k >= 3 else np.zeros(live.size, bool)
-        if kink.any():
-            rows = live[kink]
-            U[rows] = numerics.project_simplex(
-                U[rows] + 1e-7 * rng.standard_normal((rows.size, k)))
-            vals[rows] = stepmodel._sigma_batch(A, U[rows])
-        rows, G = live[~kink], G[~kink]
-        G -= G.mean(axis=1, keepdims=True)  # tangent of the simplex
-        gnorm2 = np.einsum("ij,ij->i", G, G)
-        flat = gnorm2 < 1e-18
-        active[rows[flat]] = False
-        rows, G, gnorm2 = rows[~flat], G[~flat], gnorm2[~flat]
-        t = 0.5
-        while t > 1e-12 and rows.size:
-            cand = numerics.project_simplex(U[rows] + t * G)
-            cvals = stepmodel._sigma_batch(A, cand)
-            ok = cvals > vals[rows] + 1e-4 * t * gnorm2
-            U[rows[ok]], vals[rows[ok]] = cand[ok], cvals[ok]
-            rows, G, gnorm2 = rows[~ok], G[~ok], gnorm2[~ok]
-            t /= 2.0
-        active[rows] = False
-    return U, vals
-
-
 def dense_ldl_psd_check(Q):
     """Exact PSD check of a symmetric Fraction matrix by one dense symmetric
     elimination over all of it (largest remaining diagonal as pivot), with
@@ -317,13 +232,12 @@ def spot_check_loop(base, c, samples: int = 1000, seed: int = 0) -> float:
     return worst
 
 
-def dense_verify_identity(cert, p, max_report: int = 20):
+def dense_verify_identity(cert, p):
     """Compare both sides of the SOS identity entry by entry over every
     entry of every coefficient block. The right-hand sides are built by
     additive_compound_pairs from the adjacency of the base graph of the
     assembled problem p, which supplies only the base, the bound and the
-    dimensions. Returns (ok, violations capped at max_report, entries
-    compared).
+    dimensions. Returns (ok, every violation, entries compared).
 
     The support-based certify.verify_identity is checked against it.
     """
@@ -382,4 +296,4 @@ def dense_verify_identity(cert, p, max_report: int = 20):
                 want = two_f[r][s]
                 if got != want:
                     bad.append((f"x_{i}*x_{j}", r, s, got, want))
-    return not bad, tuple(bad[:max_report]), checked
+    return not bad, tuple(bad), checked

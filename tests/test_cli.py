@@ -93,6 +93,17 @@ class TestSpectrum:
         assert code == 2
         assert err == f"error: line 3: edge {second} repeats line 2\n"
 
+    @pytest.mark.parametrize("text,err", [
+        ("\n\n", "line 1: missing header 'n m'"),
+        ("3\n", "line 1: expected 'n m', got '3'"),
+        ("3 1\n1 2 3\n", "line 2: expected 'i j', got '1 2 3'")],
+        ids=["blank", "one_token_header", "three_token_edge"])
+    def test_malformed_graph_refused(self, capsys, tmp_path, text, err):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        assert cli.main(["spectrum", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     def test_order_cap_is_accepted(self, capsys, tmp_path):
         f = tmp_path / "e.txt"
         f.write_text(f"{graphs.MAX_FILE_ORDER} 1\n1 2\n")
@@ -280,6 +291,32 @@ class TestCertifyVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text,err", [
+        ("candidate K2\nbound 1/1\n2 1\n" + "0/1 0/1 0/1\n" * 3 + "1/1\n",
+         "line 3: expected 'k m dimQ'"),
+        ("candidate K2\nbound 1/1\n2 1 3\n" + "0/1 0/1 0/1\n0/1 0/1\n0/1 0/1 0/1\n1/1\n",
+         "line 5: expected 3 entries, got 2")],
+        ids=["two_token_header", "short_row"])
+    def test_verify_refuses_malformed_certificate(self, capsys, tmp_path, text, err):
+        f = tmp_path / "c.txt"
+        f.write_text(text)
+        assert cli.main(["verify", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_verify_wrong_dimensions_fail_identity(self, capsys, tmp_path):
+        # a P3 certificate must have k m dimQ = 3 3 12; one that parses with
+        # 4 6 30 fails the identity on its dimensions and skips the LDL^T
+        f = tmp_path / "c.txt"
+        f.write_text("candidate P3\nbound 8/7\n4 6 30\n" + ("0 " * 30 + "\n") * 30
+                     + ("0 " * 6 + "\n") * 6)
+        code, out = run(capsys, "verify", str(f))
+        d = kv(out)
+        assert code == 1
+        assert d["identity"] == "FAIL"
+        assert d["identity_violation"] == \
+            "coefficient dims entry (0,0): got (4, 6), want (3, 3)"
+        assert d["psd"] == "SKIPPED" and d["verdict"] == "FAIL"
+
 
 class TestCompound:
     def test_exact_matrix(self, capsys, tmp_path):
@@ -334,6 +371,24 @@ class TestCompound:
         assert err == (f"error: the compound has C(16,8) = 12870 rows, "
                        f"above the limit {check.MAX_COMPOUND_DIM}\n")
         assert peak < 10 ** 6
+
+    @pytest.mark.parametrize("text,err", [
+        ("", "line 1: missing dimension"),
+        ("0\n", "line 1: dimension must be >= 1"),
+        ("2\n1 0\n0 1\n1 1\n", "line 4: more than 2 rows")],
+        ids=["empty", "zero_dim", "extra_row"])
+    def test_malformed_matrix_refused(self, capsys, tmp_path, text, err):
+        f = tmp_path / "m.txt"
+        f.write_text(text)
+        assert cli.main(["compound", str(f), "1"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_blank_lines_between_rows_accepted(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("2\n\n5 -1\n\n\n-1 2\n\n")
+        code, out = run(capsys, "compound", str(f), "1")
+        assert code == 0
+        assert kv(out)["row"] == ["5/1 -1/1", "-1/1 2/1"]
 
     def test_bad_k(self, capsys, tmp_path):
         f = tmp_path / "m.txt"
