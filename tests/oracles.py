@@ -168,6 +168,109 @@ def rational_matrix(rng, n: int, den: int = 7, lo: int = -3, hi: int = 3):
     return Q
 
 
+def _sig(A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """lambda1 + lambda2 of D_u^{1/2} A D_u^{1/2} for u = each row of U."""
+    S = np.sqrt(np.maximum(U, 0.0))
+    w = np.linalg.eigvalsh(A * (S[..., :, None] * S[..., None, :]))
+    return w[..., -1] + w[..., -2]
+
+
+def fd_ascend(A: np.ndarray, u0: np.ndarray, rng, project, h: float = 1e-6,
+              max_iter: int = 100) -> tuple[np.ndarray, float]:
+    """One start of projected gradient ascent on lambda1 + lambda2 of
+    D_u^{1/2} A D_u^{1/2}, with forward-difference gradients (k extra
+    eigensolves per step), scalar Armijo halving and a random step off
+    lambda2 = lambda3 kinks. `project` maps a point onto the simplex.
+
+    stepmodel.maximize_sigma, which only scores grid points and probes,
+    must end no lower than any climb.
+    """
+    k = u0.size
+    u = project(u0)
+    val = float(_sig(A, u))
+    for _ in range(max_iter):
+        w = np.linalg.eigvalsh(A * np.outer(np.sqrt(u), np.sqrt(u)))
+        if k >= 3 and abs(w[-2] - w[-3]) < 1e-9:
+            u = project(u + 1e-7 * rng.standard_normal(k))
+            val = float(_sig(A, u))
+            continue
+        g = (_sig(A, u[None, :] + h * np.eye(k)) - val) / h
+        g = g - g.mean()
+        gnorm2 = float(g @ g)
+        if gnorm2 < 1e-18:
+            break
+        t = 0.5
+        while t > 1e-12:
+            cand = project(u + t * g)
+            cval = float(_sig(A, cand))
+            if cval > val + 1e-4 * t * gnorm2:
+                u, val = cand, cval
+                break
+            t /= 2.0
+        else:
+            break
+    return u, val
+
+
+def _sig_grad(A: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of each row's M* and the gradient in u of
+    lambda1 + lambda2: d lambda/d u_i = v_i (A(s o v))_i / s_i, s = sqrt(u).
+    M v = lambda v gives v_i/s_i = (A(s o v))_i/lambda, so on a zero weight
+    the one-sided limit is (A(s o v))_i^2/lambda (0 when lambda <= 0).
+    """
+    S = np.sqrt(U)
+    w, V = np.linalg.eigh(A[None, :, :] * (S[:, None, :] * S[:, :, None]))
+    G = np.zeros_like(U)
+    for c in (-1, -2):
+        v = V[:, :, c]
+        r = (S * v) @ A
+        q = np.divide(v, S, out=np.zeros_like(v), where=S > 0)
+        np.divide(r, w[:, c, None], out=q, where=(S == 0) & (w[:, c, None] > 0))
+        G += r * q
+    return w, G
+
+
+def halving_ascend(A: np.ndarray, U0: np.ndarray, rng, project,
+                   max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Projected analytic-gradient ascent from every row of U0 at once, with
+    one stacked eigensolve per halving of t; a row stops at a zero gradient
+    or when no step down to 1e-12 passes Armijo.
+
+    stepmodel.maximize_sigma, which only scores grid points and probes,
+    must end no lower than any climb.
+    """
+    B, k = U0.shape
+    U = project(U0)
+    vals = _sig(A, U)
+    active = np.ones(B, dtype=bool)
+    for _ in range(max_iter):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        w, G = _sig_grad(A, U[live])
+        kink = w[:, -2] - w[:, -3] < 1e-9 if k >= 3 else np.zeros(live.size, bool)
+        if kink.any():
+            rows = live[kink]
+            U[rows] = project(U[rows] + 1e-7 * rng.standard_normal((rows.size, k)))
+            vals[rows] = _sig(A, U[rows])
+        rows, G = live[~kink], G[~kink]
+        G -= G.mean(axis=1, keepdims=True)  # tangent of the simplex
+        gnorm2 = np.einsum("ij,ij->i", G, G)
+        flat = gnorm2 < 1e-18
+        active[rows[flat]] = False
+        rows, G, gnorm2 = rows[~flat], G[~flat], gnorm2[~flat]
+        t = 0.5
+        while t > 1e-12 and rows.size:
+            cand = project(U[rows] + t * G)
+            cvals = _sig(A, cand)
+            ok = cvals > vals[rows] + 1e-4 * t * gnorm2
+            U[rows[ok]], vals[rows[ok]] = cand[ok], cvals[ok]
+            rows, G, gnorm2 = rows[~ok], G[~ok], gnorm2[~ok]
+            t /= 2.0
+        active[rows] = False
+    return U, vals
+
+
 def dense_ldl_psd_check(Q):
     """Exact PSD check of a symmetric Fraction matrix by one dense symmetric
     elimination over all of it (largest remaining diagonal as pivot), with

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from specsum import graphs, numerics, stepmodel
 from oracles import (P3_ALPHA, P3_BETA, P3_KAPPA, P3_MU, P3_SIGMA_STAR,
-                     P3_SPECTRUM, P3_U_STAR, top_two_sum)
+                     P3_SPECTRUM, P3_U_STAR, fd_ascend, halving_ascend,
+                     top_two_sum)
 
 CANDIDATE_NAMES = ("P3", "P4", "H5", "H6")
 
@@ -157,7 +158,71 @@ class TestMaximizeSigma:
         assert abs(val - stepmodel.sigma(stepmodel.StepModel(cand, u))) < 1e-12
 
 
+def tie(val):
+    """How far a probe must beat the grid point to replace it."""
+    return 8 * np.finfo(float).eps * abs(val)
+
+
+class TestStackedAscent:
+    """maximize_sigma scores points instead of climbing; a gradient ascent
+    from its own probes never ends above its answer beyond the tie rule."""
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_no_worse_than_scalar_oracle(self, name):
+        # the oracle climbs from the same 200 Dirichlet draws that
+        # maximize_sigma scores as probes at seed 7
+        cand = stepmodel.candidate(name)
+        A = cand.graph.adjacency()
+        U0 = np.random.default_rng(7).dirichlet(np.ones(cand.k), size=200)
+        rng = np.random.default_rng(1)
+        oracle = np.array([fd_ascend(A, u0, rng, numerics.project_simplex)[1]
+                           for u0 in U0])
+        _, val = stepmodel.maximize_sigma(cand, restarts=200, seed=7)
+        assert oracle.max() <= val + tie(val)
+        assert val - oracle.max() < 1e-4  # the climbs reach the same top
+        assert val <= 8 / 7 + 1e-12
+
+
+def ascent_starts(cand, kind, B, seed):
+    """B starts of one kind: Dirichlet points, points on simplex faces (some
+    weights zero) or lambda2 = lambda3 kink points (a vertex of the simplex,
+    or weight on one edge's two ends only, where M* has rank 1)."""
+    rng = np.random.default_rng(seed)
+    k = cand.k
+    U = rng.dirichlet(np.ones(k), size=B)
+    if kind == "faces":
+        U[rng.random((B, k)) < 0.4] = 0.0
+        U[np.arange(B), rng.integers(0, k, B)] += 0.1  # keep every row nonzero
+        U /= U.sum(axis=1, keepdims=True)
+    elif kind == "kinks":
+        edges = [e for e in cand.graph.edges if e[0] != e[1]]
+        U = np.zeros((B, k))
+        for r in range(B):
+            i, j = edges[rng.integers(len(edges))]
+            a = rng.random() if r % 2 else 1.0
+            U[r, i - 1], U[r, j - 1] = a, 1.0 - a
+    return U
+
+
 class TestLineSearch:
+    @pytest.mark.parametrize("B", [1, 7, 60])
+    @pytest.mark.parametrize("kind", ["dirichlet", "faces", "kinks"])
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_matches_halving_oracle(self, name, kind, B):
+        # B climbs with an Armijo line search reach maximize_sigma's sigma
+        # with B probes, but never beat it by more than the tie rule
+        cand = stepmodel.candidate(name)
+        A = cand.graph.adjacency()
+        U0 = ascent_starts(cand, kind, B, seed=B)
+        if kind == "kinks":
+            w = np.linalg.eigvalsh(A * np.sqrt(U0[:, None, :] * U0[:, :, None]))
+            assert np.all(w[:, -2] - w[:, -3] < 1e-9)
+        _, vals = halving_ascend(A, U0, np.random.default_rng(5),
+                                 numerics.project_simplex)
+        _, val = stepmodel.maximize_sigma(cand, restarts=B, seed=B)
+        assert vals.max() <= val + tie(val)
+        assert val - vals.max() < 1e-4
+
     @pytest.mark.parametrize("restarts", [1, 40])
     @pytest.mark.parametrize("name", CANDIDATE_NAMES)
     def test_stacks_never_exceed_the_starts(self, monkeypatch, name, restarts):
