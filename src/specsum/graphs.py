@@ -18,7 +18,7 @@ from .exactq import parse_int
 
 MAX = "MAX"
 MIN_CONNECTED = "MIN_CONNECTED"
-#: edge masks that search_extremal filters and eigensolves at once
+#: the most edge masks that search_extremal eigensolves at once
 SEARCH_BATCH = 4096
 
 
@@ -149,11 +149,54 @@ def _incidence(n: int) -> list[int]:
             for v in range(1, n + 1)]
 
 
-def _degree_ordered(masks: np.ndarray, inc: list[int]) -> np.ndarray:
-    """Which masks label their graph so that deg(1) >= deg(2) >= ... >= deg(n),
-    given inc = _incidence(n)."""
-    deg = np.stack([np.bitwise_count(masks & m) for m in inc], axis=1)
-    return np.all(deg[:, :-1] >= deg[:, 1:], axis=1)
+def _degree_steps(masks: np.ndarray, inc: list[int]) -> np.ndarray:
+    """Row v - 1 holds deg(v) - deg(v + 1), v = 1..n-1, as int8, of each
+    mask's graph, given inc = _incidence(n)."""
+    deg = np.stack([np.bitwise_count(masks & m) for m in inc]).astype(np.int8)
+    return deg[:-1] - deg[1:]
+
+
+def _degree_ordered_stacks(n: int):
+    """Yield, in increasing order, the edge masks on n vertices that label
+    their graph so that deg(1) >= deg(2) >= ... >= deg(n), in stacks of at
+    most SEARCH_BATCH masks.
+
+    A mask is hi << L | lo, and each degree is the sum of the degrees that
+    the low L bits and the high bits give, so the mask passes exactly when
+    _degree_steps(lo) >= -_degree_steps(hi << L) in every row. One table
+    holds the steps of all 2^L low halves; each high half's threshold picks
+    its low halves from it, and high halves with equal thresholds share the
+    pick. High halves in order, each with its low halves ascending, is
+    increasing mask order.
+    """
+    inc = _incidence(n)
+    pairs = n * (n - 1) // 2
+    # 2^L <= SEARCH_BATCH, so one high half never overflows a stack
+    L = min(pairs, SEARCH_BATCH.bit_length() - 1)
+    n_high = 1 << (pairs - L)
+    table = _degree_steps(np.arange(1 << L, dtype=np.int64), inc)
+    top = table.max(axis=1, keepdims=True)
+    picks = {}  # threshold bytes -> passing low halves
+    stack, size = [], 0
+    # thresholds of 2^L high halves at a time take no more room than the table
+    for start in range(0, n_high, 1 << L):
+        highs = np.arange(start, min(start + (1 << L), n_high), dtype=np.int64) << L
+        need = -_degree_steps(highs, inc)
+        for h in np.flatnonzero(np.all(need <= top, axis=0)):
+            thr = need[:, h, None]
+            key = thr.tobytes()
+            lows = picks.get(key)
+            if lows is None:
+                lows = np.flatnonzero(np.all(table >= thr, axis=0))
+                lows = picks[key] = lows.astype(np.uint16)
+            stack.append(highs[h] | lows)
+            size += lows.size
+            if size >= SEARCH_BATCH:
+                masks = np.concatenate(stack)
+                yield masks[:SEARCH_BATCH]
+                stack, size = [masks[SEARCH_BATCH:]], size - SEARCH_BATCH
+    if size:
+        yield np.concatenate(stack)
 
 
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
@@ -180,9 +223,11 @@ def search_extremal(n: int, mode: str) -> tuple[Graph, float]:
 
     MAX: maximize lambda1 + lambda2. MIN_CONNECTED: minimize it over
     connected graphs. Bit b of an edge mask is pair b in lexicographic
-    order (1,2),(1,3),...; the scan walks every mask in increasing order,
-    in batches of SEARCH_BATCH, but eigensolves only the labelings whose degrees
-    do not increase, deg(1) >= deg(2) >= ... >= deg(n). Relabeling changes
+    order (1,2),(1,3),...; the scan eigensolves, in increasing mask order
+    and in stacks of at most SEARCH_BATCH, only the labelings whose degrees
+    do not increase, deg(1) >= deg(2) >= ... >= deg(n), which a split table
+    of low- and high-bit degrees picks without counting every mask's
+    degrees (_degree_ordered_stacks). Relabeling changes
     neither lambda1 + lambda2 nor connectivity, and sorting the vertices by
     degree gives every graph such a labeling, so the extremum over these
     labelings is the extremum over all graphs. Ties go to the first such
@@ -193,13 +238,9 @@ def search_extremal(n: int, mode: str) -> tuple[Graph, float]:
         raise ValueError("exhaustive search supports 2 <= n <= 8")
     if mode not in (MAX, MIN_CONNECTED):
         raise ValueError(f"unknown mode {mode!r}")
-    total = 1 << (n * (n - 1) // 2)
-    inc = _incidence(n)
     sign = 1.0 if mode == MAX else -1.0
     best_val, best_mask = -np.inf, -1
-    for start in range(0, total, SEARCH_BATCH):
-        masks = np.arange(start, min(start + SEARCH_BATCH, total), dtype=np.int64)
-        masks = masks[_degree_ordered(masks, inc)]
+    for masks in _degree_ordered_stacks(n):
         A = _adjacency_stack(n, masks)
         if mode == MIN_CONNECTED:
             keep = _connected_stack(A)
@@ -208,7 +249,7 @@ def search_extremal(n: int, mode: str) -> tuple[Graph, float]:
             continue
         w = np.linalg.eigvalsh(A)
         sums = sign * (w[:, -1] + w[:, -2])
-        # argmax keeps the first of equal values; batches fold in mask order
+        # argmax keeps the first of equal values; stacks fold in mask order
         i = int(np.argmax(sums))
         if sums[i] > best_val:
             best_val, best_mask = float(sums[i]), int(masks[i])

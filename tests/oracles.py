@@ -51,18 +51,13 @@ def top_two_sum(A: np.ndarray) -> float:
     return float(w[-1] + w[-2]) if A.shape[0] > 1 else float(w[-1])
 
 
-def brute_force_extremal(n: int, connected_only: bool, maximize: bool):
-    """Eigensolve every one of the 2^C(n,2) labeled loop-free graphs.
-
-    Returns (value, mask) for the first mask in increasing order that
-    attains the extreme; bit b of a mask is pair b in lexicographic order.
-    Connectivity is read off the Laplacian: a graph is connected exactly
-    when its second-smallest Laplacian eigenvalue is positive, and for a
-    connected graph on n <= 8 vertices that eigenvalue is at least
-    2(1 - cos(pi/n)) > 0.1.
-    """
+def _top_two_sums(n: int, masks: np.ndarray, connected_only: bool):
+    """lambda1 + lambda2 of each mask's graph, with the masks kept; when
+    connected_only, only the connected graphs. Connectivity is read off the
+    Laplacian: a graph is connected exactly when its second-smallest
+    Laplacian eigenvalue is positive, and for a connected graph on n <= 8
+    vertices that eigenvalue is at least 2(1 - cos(pi/n)) > 0.1."""
     iu, ju = np.triu_indices(n, 1)
-    masks = np.arange(1 << iu.size, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(iu.size)) & 1).astype(float)
     A = np.zeros((masks.size, n, n))
     A[:, iu, ju] = A[:, ju, iu] = bits
@@ -72,8 +67,49 @@ def brute_force_extremal(n: int, connected_only: bool, maximize: bool):
         L = np.eye(n) * A.sum(axis=2)[:, :, None] - A
         keep = np.linalg.eigvalsh(L)[:, 1] > 0.1
         masks, vals = masks[keep], vals[keep]
+    return vals, masks
+
+
+def _first_extreme(vals, masks, maximize: bool):
     i = int(np.argmax(vals) if maximize else np.argmin(vals))
     return float(vals[i]), int(masks[i])
+
+
+def brute_force_extremal(n: int, connected_only: bool, maximize: bool):
+    """Eigensolve every one of the 2^C(n,2) labeled loop-free graphs.
+
+    Returns (value, mask) for the first mask in increasing order that
+    attains the extreme; bit b of a mask is pair b in lexicographic order.
+    """
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    return _first_extreme(*_top_two_sums(n, masks, connected_only), maximize)
+
+
+def degree_ordered(masks: np.ndarray, n: int) -> np.ndarray:
+    """The per-mask degree filter: which masks label their graph so that
+    deg(1) >= deg(2) >= ... >= deg(n). It counts every degree of every
+    mask, the scan that the split table in graphs replaced."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    inc = [sum(1 << b for b, e in enumerate(pairs) if v in e)
+           for v in range(1, n + 1)]
+    deg = np.stack([np.bitwise_count(masks & m) for m in inc], axis=1)
+    return np.all(deg[:, :-1] >= deg[:, 1:], axis=1)
+
+
+def degree_ordered_masks(n: int) -> np.ndarray:
+    """Every degree-ordered mask on n vertices, in increasing order, by
+    running degree_ordered over all 2^C(n,2) masks 4096 at a time."""
+    total = 1 << (n * (n - 1) // 2)
+    chunks = (np.arange(s, min(s + 4096, total), dtype=np.int64)
+              for s in range(0, total, 4096))
+    return np.concatenate([m[degree_ordered(m, n)] for m in chunks])
+
+
+def degree_ordered_search(n: int, connected_only: bool, maximize: bool):
+    """The extremal search over degree_ordered_masks(n): (value, mask) for
+    the first degree-ordered mask that attains the extreme."""
+    masks = degree_ordered_masks(n)
+    return _first_extreme(*_top_two_sums(n, masks, connected_only), maximize)
 
 
 def _connected(A: np.ndarray) -> bool:

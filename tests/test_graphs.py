@@ -1,5 +1,9 @@
+import functools
 import itertools
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +12,18 @@ from hypothesis import strategies as st
 
 from specsum import graphs
 from oracles import (MAX_SUM, PATH4_SUM, K722_SUM, _connected, brute_force_extremal,
+                     degree_ordered, degree_ordered_masks, degree_ordered_search,
                      path_spectrum)
 
 
 def path(n):
     return graphs.graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+@functools.lru_cache(maxsize=None)
+def degree_ordered_stream(n):
+    """Every mask that graphs._degree_ordered_stacks(n) yields, in order."""
+    return np.concatenate(list(graphs._degree_ordered_stacks(n)))
 
 
 def random_graph(seed, n):
@@ -176,16 +187,72 @@ class TestSearchExtremal:
         assert v1 == v2 and g1.edges == g2.edges
 
     def test_ties_go_to_the_first_degree_ordered_mask(self):
-        # K(6,2,2) has three degree-ordered labelings; across batches the
-        # search must return the first one that attains the largest sum
+        # K(6,2,2) has three degree-ordered labelings; the search must
+        # return the first one that attains the largest sum
         n = 6
         masks = np.arange(1 << 15)
-        masks = masks[graphs._degree_ordered(masks, graphs._incidence(n))]
+        masks = masks[degree_ordered(masks, n)]
         w = np.linalg.eigvalsh(graphs._adjacency_stack(n, masks))
         sums = w[:, -1] + w[:, -2]
         G, val = graphs.search_extremal(n, graphs.MAX)
         assert val == sums.max()
         assert G == graphs.mask_to_graph(n, int(masks[np.argmax(sums)]))
+
+    def test_stacks_match_the_per_mask_filter(self):
+        for n in range(2, 8):
+            got = degree_ordered_stream(n)
+            assert np.array_equal(got, degree_ordered_masks(n)), n
+        assert degree_ordered_stream(6).size == 936
+        assert degree_ordered_stream(7).size == 16758
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, (1 << 16) - 1))
+    def test_stacks_match_the_per_mask_filter_at_n8(self, high):
+        # the 4096 masks that share the high bits `high`, against the scan
+        stream = degree_ordered_stream(8)
+        masks = np.arange(high << 12, (high + 1) << 12)
+        lo, hi = np.searchsorted(stream, [masks[0], masks[-1] + 1])
+        assert np.array_equal(stream[lo:hi], masks[degree_ordered(masks, 8)])
+        assert stream.size == 602544 and np.all(np.diff(stream) > 0)
+
+    def test_search_matches_the_per_mask_search(self):
+        # same graph, same float: the split table changes which masks are
+        # stacked together, never which mask wins
+        for n in range(2, 8):
+            for mode in (graphs.MAX, graphs.MIN_CONNECTED):
+                G, val = graphs.search_extremal(n, mode)
+                want_val, want_mask = degree_ordered_search(
+                    n, connected_only=mode == graphs.MIN_CONNECTED,
+                    maximize=mode == graphs.MAX)
+                assert val == want_val, (n, mode)
+                assert G == graphs.mask_to_graph(n, want_mask), (n, mode)
+
+    def test_stacks_and_tables_stay_bounded(self, monkeypatch):
+        rows, table_bytes = [], []
+        adjacency_stack, degree_steps = graphs._adjacency_stack, graphs._degree_steps
+
+        def counted_stack(n, masks):
+            rows.append(masks.size)
+            return adjacency_stack(n, masks)
+
+        def counted_steps(masks, inc):
+            out = degree_steps(masks, inc)
+            table_bytes.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(graphs, "_adjacency_stack", counted_stack)
+        for mode in (graphs.MAX, graphs.MIN_CONNECTED):
+            rows.clear()
+            graphs.search_extremal(7, mode)
+            assert max(rows) <= graphs.SEARCH_BATCH
+            assert sum(rows) == 16758 and len(rows) == 5
+        monkeypatch.setattr(graphs, "_degree_steps", counted_steps)
+        for n in range(2, 9):
+            # the low-half table, then the thresholds of the first chunk of
+            # high halves; no later chunk is larger
+            table_bytes.clear()
+            next(graphs._degree_ordered_stacks(n))
+            assert len(table_bytes) == 2 and sum(table_bytes) < 200_000, n
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(2, 8))
@@ -213,7 +280,6 @@ class TestSearchExtremal:
         # mask, and the spectral sum must not move
         G = random_graph(seed, n)
         pairs = list(itertools.combinations(range(1, n + 1), 2))
-        inc = graphs._incidence(n)
 
         def mask(H):
             return sum(1 << b for b, e in enumerate(pairs) if e in H.edges)
@@ -222,7 +288,9 @@ class TestSearchExtremal:
         order = sorted(range(1, n + 1), key=lambda v: -deg[v - 1])
         new = {v: k for k, v in enumerate(order, start=1)}
         H = graphs.graph(n, [(new[i], new[j]) for i, j in G.edges])
-        kept = graphs._degree_ordered(np.array([mask(G), mask(H)]), inc)
+        stream = degree_ordered_stream(n)
+        kept = [stream[min(np.searchsorted(stream, m), stream.size - 1)] == m
+                for m in (mask(G), mask(H))]
         assert kept[0] == bool(np.all(np.diff(deg) <= 0))
         assert kept[1]
         assert abs(graphs.spectral_sum(H).spectral_sum
@@ -235,6 +303,27 @@ class TestSearchExtremal:
             graphs.search_extremal(9, graphs.MAX)
         with pytest.raises(ValueError):
             graphs.search_extremal(4, "BOGUS")
+
+
+class TestSearchScript:
+    SCRIPT = str(Path(__file__).resolve().parent.parent / "scripts" / "search_small_n.py")
+
+    def run(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", [self.SCRIPT, "--max-n", "6"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(self.SCRIPT, run_name="__main__")
+        return exit_info.value.code, capsys.readouterr().out
+
+    def test_exits_0_when_the_maximizers_match(self, monkeypatch, capsys):
+        code, out = self.run(monkeypatch, capsys)
+        assert code == 0
+        assert out.count(": True") == 2 and ": False" not in out
+
+    def test_exits_1_when_a_maximizer_does_not_match(self, monkeypatch, capsys):
+        monkeypatch.setattr(graphs, "conjecture_pq", lambda n: (1, 1))
+        code, out = self.run(monkeypatch, capsys)
+        assert code == 1
+        assert "maximizer ~ K(6,1,1): False" in out
 
 
 class TestGraphIO:
