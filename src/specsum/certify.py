@@ -254,7 +254,7 @@ class SolveResult:
     psd_residual: float
 
 
-#: the solver's stopping tolerance on both residuals
+#: the solver's tolerance on both residuals (it stops on the PSD one)
 TOL = 1e-9
 
 
@@ -269,24 +269,26 @@ def sdp_solve(p: SosProblem, max_iter: int = 50000) -> SolveResult:
     where averaged reflections keep their linear rate. The iterate lives on
     the sign blocks (module docstring), and both projections are closed
     forms there: coordinate averaging for the affine set, eigen-clip at 0
-    block by block for the cone. Terminates when the affine shadow Qa has
-    both residuals (affine max-norm violation, most negative block
-    eigenvalue) below TOL; Qa is returned as a dense matrix, exactly 0 off
-    the blocks. Deterministic: starts from Q = 0.
+    block by block for the cone. Stops when the affine shadow Qa has no
+    block eigenvalue below -TOL. Its affine max-norm violation is one
+    rounding (_project_affine writes each entry and its mirror from one
+    expression), so it is measured once, on the returned Qa, where
+    CONVERGED needs it <= TOL too. Qa is returned as a dense matrix,
+    exactly 0 off the blocks. Deterministic: starts from Q = 0.
     """
     L = p.layout
     v = np.zeros(L.rows.size)
     va = v
-    aff = psd = np.inf
-    status, it = "NOT_FOUND", max_iter
+    psd, it = np.inf, max_iter
     for n in range(1, max_iter + 1):
         va = _project_affine(p, v)
         psd = max(0.0, -_min_eigenvalue(L, va))
-        aff = affine_residual(p, va)
-        if psd <= TOL and aff <= TOL:
-            status, it = "CONVERGED", n
+        if psd <= TOL:
+            it = n
             break
         v = v + (_clip_psd(L, 2 * va - v) - va)
+    aff = affine_residual(p, va)
+    status = "CONVERGED" if psd <= TOL and aff <= TOL else "NOT_FOUND"
     Q = np.zeros((p.dim, p.dim))
     Q[L.rows, L.cols] = va
     return SolveResult(status, Q, it, aff, psd)

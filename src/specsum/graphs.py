@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .check import wedge_pairs
 from .exactq import parse_int
 
@@ -70,8 +69,8 @@ def spectral_sum(G: Graph) -> SpectralSummary:
     """lambda1 + lambda2 of the adjacency matrix (loops contribute diagonal 1)."""
     if G.n == 0:
         raise ValueError("spectral sum undefined on the empty vertex set")
-    dec = numerics.eigh(G.adjacency())
-    w = dec.eigenvalues
+    w = np.linalg.eigh(G.adjacency()).eigenvalues
+    w = w[np.argsort(-w, kind="stable")]
     if G.n == 1:
         return SpectralSummary(w, float(w[0]), 0.0, float(w[0]),
                                lambda2_by_convention=True)

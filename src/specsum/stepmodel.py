@@ -29,6 +29,8 @@ from . import check, numerics
 from .graphs import Graph, graph
 
 SIMPLEX_TOL = 1e-12
+GRID_MESH = 14
+KAPPA_TOL = 1e-8
 
 #: most Dirichlet probes maximize_sigma scores; its probe stack holds
 #: that many k x k matrices, about 30 MB at k = 6 and this cap
@@ -107,8 +109,8 @@ def weighted_matrix(model: StepModel) -> np.ndarray:
 
 def sigma(model: StepModel) -> float:
     """lambda1(M*) + lambda2(M*), on the full matrix (zero blocks vanish)."""
-    w = numerics.eigh(weighted_matrix(model)).eigenvalues
-    return float(w[0] + w[1])
+    w = np.linalg.eigh(weighted_matrix(model)).eigenvalues
+    return float(w[-1] + w[-2])
 
 
 def _sigma_batch(A: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -118,12 +120,13 @@ def _sigma_batch(A: np.ndarray, U: np.ndarray) -> np.ndarray:
     return w[:, -1] + w[:, -2]
 
 
-def simplex_grid(k: int, mesh: int) -> np.ndarray:
-    """All points v/mesh, v a nonnegative integer k-composition of mesh, in
-    lexicographic order (stars and bars: k - 1 bars in mesh + k - 1 slots)."""
-    bars = np.array(list(itertools.combinations(range(mesh + k - 1), k - 1)))
-    cuts = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, mesh + k - 1))
-    return (np.diff(cuts, axis=1) - 1) / mesh
+def simplex_grid(k: int) -> np.ndarray:
+    """All points v/GRID_MESH, v a nonnegative integer k-composition of
+    GRID_MESH, in lexicographic order (stars and bars: k - 1 bars in slots)."""
+    slots = GRID_MESH + k - 1
+    bars = np.array(list(itertools.combinations(range(slots), k - 1)))
+    cuts = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+    return (np.diff(cuts, axis=1) - 1) / GRID_MESH
 
 
 def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
@@ -143,7 +146,7 @@ def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} is above the limit {MAX_RESTARTS}")
     A = cand.graph.adjacency()
-    grid = simplex_grid(cand.k, 14)
+    grid = simplex_grid(cand.k)
     grid_vals = _sigma_batch(A, grid)
     i = int(np.argmax(grid_vals))
     best_u, best_val = grid[i], float(grid_vals[i])
@@ -164,7 +167,8 @@ def step_eigs(model: StepModel) -> StepEigs:
     Computed on the matrix restricted to the support: the nonzero spectrum
     is unchanged and restriction keeps the step functions unit-normalized.
     Signs: sum u_i alpha_i >= 0, and beta decreasing between the first and
-    last defined blocks.
+    last defined blocks. Exact ties (mu1 = mu2, equal beta ends) go by a
+    stable sort on -mu and a positive largest-magnitude eigenvector entry.
     """
     u = model.u
     support = tuple(int(i) + 1 for i in np.nonzero(u > 0)[0])
@@ -173,12 +177,11 @@ def step_eigs(model: StepModel) -> StepEigs:
     idx = [i - 1 for i in support]
     A = model.candidate.graph.adjacency()[np.ix_(idx, idx)]
     us = u[idx]
-    dec = numerics.eigh(_weighted(A, us))
-    mu1, mu2 = float(dec.eigenvalues[0]), float(dec.eigenvalues[1])
-    a = dec.eigenvectors[:, 0]
-    b = dec.eigenvectors[:, 1]
-    alpha_s = a / np.sqrt(us)
-    beta_s = b / np.sqrt(us)
+    w, V = np.linalg.eigh(_weighted(A, us))
+    top = np.argsort(-w, kind="stable")[:2]
+    V = V[:, top] * np.sign(V[np.argmax(np.abs(V[:, top]), axis=0), top])
+    mu1, mu2 = map(float, w[top])
+    alpha_s, beta_s = V.T / np.sqrt(us)
     if float(us @ alpha_s) < 0:
         alpha_s = -alpha_s
     if beta_s[0] < beta_s[-1]:
@@ -198,9 +201,9 @@ def ellipse_residual(model: StepModel) -> np.ndarray:
     return se.mu1 * se.alpha ** 2 + se.mu2 * se.beta ** 2 - (se.mu1 + se.mu2)
 
 
-def adjacency_criterion_check(model: StepModel, tol: float = 1e-8) -> list[PairCheck]:
+def adjacency_criterion_check(model: StepModel) -> list[PairCheck]:
     """kappa_ij = alpha_i alpha_j + beta_i beta_j for positive-weight block
-    pairs (i <= j); an edge should have kappa >= -tol, a non-edge <= tol."""
+    pairs (i <= j); an edge needs kappa >= -KAPPA_TOL, a non-edge <= KAPPA_TOL."""
     se = step_eigs(model)
     edges = model.candidate.graph.edges
     out = []
@@ -210,7 +213,7 @@ def adjacency_criterion_check(model: StepModel, tol: float = 1e-8) -> list[PairC
             kappa = float(se.alpha[i - 1] * se.alpha[j - 1]
                           + se.beta[i - 1] * se.beta[j - 1])
             adjacent = (min(i, j), max(i, j)) in edges
-            consistent = (kappa >= -tol) if adjacent else (kappa <= tol)
+            consistent = (kappa >= -KAPPA_TOL) if adjacent else (kappa <= KAPPA_TOL)
             out.append(PairCheck(i=i, j=j, kappa=kappa,
                                  adjacent=adjacent, consistent=consistent))
     return out

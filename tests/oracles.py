@@ -51,6 +51,67 @@ def top_two_sum(A: np.ndarray) -> float:
     return float(w[-1] + w[-2]) if A.shape[0] > 1 else float(w[-1])
 
 
+EIG_TOL = 1e-10
+
+
+def eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked symmetric eigendecomposition (w, V), sorted descending.
+
+    The wrapper that graphs.spectral_sum, stepmodel.sigma and
+    stepmodel.step_eigs once called: it refuses non-square, empty,
+    non-finite and asymmetric input, symmetrizes, breaks ties by original
+    index (stable sort), makes each eigenvector's largest-magnitude entry
+    positive, and checks the residual and orthonormality against EIG_TOL.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.size == 0:
+        raise ValueError("expected dim >= 1")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.T).max() > 1e-12 * scale:
+        raise ValueError("matrix is not symmetric")
+    S = (M + M.T) / 2.0
+    w, V = np.linalg.eigh(S)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    for i in range(V.shape[1]):
+        col = V[:, i]
+        j = int(np.argmax(np.abs(col)))
+        if col[j] < 0:
+            V[:, i] = -col
+    scale = max(1.0, float(np.abs(w).max()))
+    resid = np.abs(S @ V - V * w).max()
+    ortho = np.abs(V.T @ V - np.eye(len(w))).max()
+    if resid > EIG_TOL * scale or ortho > EIG_TOL:
+        raise ArithmeticError(
+            f"eigendecomposition failed tolerance: residual {resid:.3e}, ortho {ortho:.3e}")
+    return w, V
+
+
+def step_eigs_via_eigh(A: np.ndarray, u: np.ndarray):
+    """(mu1, mu2, alpha, beta, support) of the looped base A at weights u, as
+    stepmodel.step_eigs computed them through the checked eigh above:
+    restricted to the support, sum u_i alpha_i >= 0, beta[first] >=
+    beta[last] on the support, nan off it."""
+    idx = np.nonzero(u > 0)[0]
+    us = u[idx]
+    s = np.sqrt(us)
+    w, V = eigh(A[np.ix_(idx, idx)] * np.outer(s, s))
+    alpha_s, beta_s = V[:, 0] / s, V[:, 1] / s
+    if float(us @ alpha_s) < 0:
+        alpha_s = -alpha_s
+    if beta_s[0] < beta_s[-1]:
+        beta_s = -beta_s
+    alpha = np.full(u.size, np.nan)
+    beta = np.full(u.size, np.nan)
+    alpha[idx], beta[idx] = alpha_s, beta_s
+    return float(w[0]), float(w[1]), alpha, beta, tuple(int(i) + 1 for i in idx)
+
+
 def _top_two_sums(n: int, masks: np.ndarray, connected_only: bool):
     """lambda1 + lambda2 of each mask's graph, with the masks kept; when
     connected_only, only the connected graphs. Connectivity is read off the

@@ -223,6 +223,23 @@ class TestSdpSolve:
         # point can meet at 8/7, ran to about 2000
         assert r.iterations <= 200
 
+    def test_affine_residual_measured_once_and_still_gates(self, monkeypatch, p3_problem):
+        # the loop stops on the PSD residual; the affine one is taken on the
+        # returned point only, and CONVERGED needs it at most TOL there
+        calls = []
+        inner = ct.affine_residual
+
+        def recording(p, v):
+            calls.append(inner(p, v))
+            return calls[-1]
+
+        monkeypatch.setattr(ct, "affine_residual", recording)
+        r = ct.sdp_solve(p3_problem)
+        assert (r.status, r.iterations, calls) == ("CONVERGED", 97, [r.affine_residual])
+        monkeypatch.setattr(ct, "affine_residual", lambda p, v: 2 * ct.TOL)
+        r = ct.sdp_solve(p3_problem)
+        assert (r.status, r.iterations, r.affine_residual) == ("NOT_FOUND", 97, 2 * ct.TOL)
+
     def test_infeasible_bound_stalls(self, p3_problem):
         # 9/8 < 8/7 = attained max, so no certificate exists
         p = ct.assemble(ct.cert_base("P3"), Fraction(9, 8))

@@ -58,7 +58,7 @@ class TestSpectralSum:
         assert graphs.spectral_sum(graphs.graph(3)).spectral_sum == 0.0
 
     def test_path_matches_closed_form(self):
-        for n in (2, 3, 5, 8):
+        for n in (2, 3, 4, 5, 8):
             got = graphs.spectral_sum(path(n)).eigenvalues
             assert np.abs(got - path_spectrum(n)).max() < 1e-12
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from specsum import graphs, numerics, stepmodel
 from oracles import (P3_ALPHA, P3_BETA, P3_KAPPA, P3_MU, P3_SIGMA_STAR,
-                     P3_SPECTRUM, P3_U_STAR, fd_ascend, halving_ascend,
-                     top_two_sum)
+                     P3_SPECTRUM, P3_U_STAR, eigh, fd_ascend, halving_ascend,
+                     step_eigs_via_eigh, top_two_sum)
 
 CANDIDATE_NAMES = ("P3", "P4", "H5", "H6")
 
@@ -89,13 +89,13 @@ class TestWeightedMatrixAndSigma:
 
 class TestSimplexGrid:
     def test_count_and_feasibility(self):
-        g = stepmodel.simplex_grid(3, 14)
+        g = stepmodel.simplex_grid(3)
         assert g.shape == (15 * 16 // 2, 3)  # C(16, 2) compositions
         assert np.abs(g.sum(axis=1) - 1).max() < 1e-12
         assert g.min() >= 0
 
     def test_contains_p3_extremal(self):
-        g = stepmodel.simplex_grid(3, 14)
+        g = stepmodel.simplex_grid(3)
         target = np.array([4, 6, 4]) / 14
         assert np.abs(g - target).sum(axis=1).min() < 1e-12
 
@@ -143,7 +143,7 @@ class TestMaximizeSigma:
         cand = stepmodel.CandidateGraph(
             "off-grid", graphs.graph(3, [(1, 1), (2, 2), (1, 2), (2, 3)]))
         A = cand.graph.adjacency()
-        grid = stepmodel.simplex_grid(3, 14)
+        grid = stepmodel.simplex_grid(3)
         grid_best = stepmodel._sigma_batch(A, grid).max()
         assert abs(grid_best - 1.0662934) < 1e-7
         probes = numerics.project_simplex(
@@ -237,7 +237,7 @@ class TestLineSearch:
         monkeypatch.setattr(stepmodel, "_sigma_batch", recording)
         cand = stepmodel.candidate(name)
         stepmodel.maximize_sigma(cand, restarts=restarts, seed=2)
-        assert sizes == [stepmodel.simplex_grid(cand.k, 14).shape[0], restarts]
+        assert sizes == [stepmodel.simplex_grid(cand.k).shape[0], restarts]
 
 
 class TestStepEigs:
@@ -275,6 +275,52 @@ class TestStepEigs:
             stepmodel.step_eigs(model("P3", [1.0, 0.0, 0.0]))
 
 
+def same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestAgainstCheckedEigh:
+    # graphs.spectral_sum, stepmodel.sigma and stepmodel.step_eigs call
+    # numpy's eigh directly; each must equal, bit for bit, what the checked
+    # wrapper in oracles.py gives
+
+    def check(self, m):
+        w, _ = eigh(stepmodel.weighted_matrix(m))
+        assert stepmodel.sigma(m) == float(w[0] + w[1])
+        se = stepmodel.step_eigs(m)
+        want = step_eigs_via_eigh(m.candidate.graph.adjacency(), m.u)
+        got = (se.mu1, se.mu2, se.alpha, se.beta, se.support)
+        assert all(same(g, x) for g, x in zip(got, want)), (got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 36 - 1))
+    def test_spectral_sum_on_loopy_graphs(self, n, bits):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        G = graphs.graph(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
+        w, _ = eigh(G.adjacency())
+        assert same(graphs.spectral_sum(G).eigenvalues, w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(CANDIDATE_NAMES), st.data())
+    def test_weights_with_zero_blocks(self, name, data):
+        k = stepmodel.candidate(name).k
+        v = data.draw(st.lists(st.one_of(st.just(0), st.integers(1, 20)),
+                               min_size=k, max_size=k)
+                      .filter(lambda v: sum(x > 0 for x in v) >= 2))
+        v = np.array(v, dtype=float)
+        self.check(model(name, v / v.sum()))
+
+    @pytest.mark.parametrize("name, u", [("P4", [1 / 2, 0, 0, 1 / 2]),
+                                         ("P3", [1 / 2, 0, 1 / 2]),
+                                         ("H6", [1 / 4, 1 / 4, 0, 0, 1 / 4, 1 / 4])])
+    def test_tie_points(self, name, u):
+        # mu1 = mu2: only the tie rule decides which eigenvector is alpha
+        m = model(name, u)
+        se = stepmodel.step_eigs(m)
+        assert se.mu1 == se.mu2
+        self.check(m)
+
+
 class TestEllipseResidual:
     def test_vanishes_at_extremal(self):
         r = stepmodel.ellipse_residual(model("P3", P3_U_STAR))
@@ -302,7 +348,7 @@ class TestAdjacencyCriterion:
         # P4 with weight drained from block 3: the non-edge pair (1,3)
         # turns strongly positive (kappa ~ 0.84), failing the criterion
         checks = stepmodel.adjacency_criterion_check(
-            model("P4", [0.2, 0.3, 0.06, 0.44]), tol=1e-8)
+            model("P4", [0.2, 0.3, 0.06, 0.44]))
         got = {(c.i, c.j): c for c in checks}
         assert got[(1, 3)].kappa > 0.5
         assert not got[(1, 3)].consistent
