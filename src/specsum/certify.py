@@ -394,10 +394,13 @@ def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) ->
     the call `ssc verify` makes, and a violation raises ArithmeticError.
     The returned certificate always passes both exact checks. On NOT_FOUND
     the failing stage is sdp_solve if the solve did not converge, else
-    verify_psd. A max_den below 1 raises ValueError before any work.
+    verify_psd. A max_den or max_iter below 1 raises ValueError before any
+    work.
     """
     if config.max_den < 1:
         raise ValueError("max_den must be >= 1")
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     p = assemble(cand, c)
     solve = sdp_solve(p, max_iter=config.max_iter)
     attempts = []

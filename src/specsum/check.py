@@ -230,7 +230,11 @@ def verify_identity(cert: Certificate) -> IdentityReport:
 
 
 def verify_psd(cert: Certificate) -> exactq.PsdWitness:
-    """Exact PSD check of Q by rational LDL^T with rank-one re-multiplication."""
+    """Exact PSD check of Q by fraction-free integer LDL^T, one connected
+    component at a time, with the decomposition re-multiplied in integers
+    (`exactq.ldl_psd_check`). A component over the work budget
+    `exactq.MAX_WORK` raises ValueError, which `ssc verify` reports with
+    exit 2."""
     return exactq.ldl_psd_check(cert.Q)
 
 

@@ -4,7 +4,8 @@ Commands: spectrum, search, optimize, certify, verify, compound. Output is
 machine-parseable `key: value` lines (append --human for formatted tables).
 Every command is deterministic: only `optimize` draws random numbers, from
 --seed (default: env SSC_SEED, else 0). Exit codes: 0 success/PASS,
-1 FAIL/NOT_FOUND, 2 usage/parse error.
+1 FAIL/NOT_FOUND, 2 usage/parse error or a Q over the exact PSD check's
+work budget (`exactq.MAX_WORK`).
 
 The parser needs only `check`'s base table, and each command imports the
 modules it uses, so `ssc verify` and `ssc compound` run without loading

@@ -8,8 +8,10 @@ scripts/derive_p3_extremal.py, which re-derives and re-checks them); tests
 compare against these literals, not against package output.
 """
 
+import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +417,163 @@ def dense_ldl_psd_check(Q):
         idx.append(p)
         active.remove(p)
     return "PSD", list(zip(cols, vals))
+
+
+def _eliminate(Q):
+    """Symmetric elimination with diagonal pivoting on a dense Q of
+    Fractions (see fraction_ldl_psd_check). Returns (columns, pivots, None)
+    when the residual hits exactly zero, else (columns, pivots, z) with
+    z^T Q z < 0 expected."""
+    n = len(Q)
+    S = [row[:] for row in Q]
+    active = list(range(n))
+    piv_cols: list[list[Fraction]] = []
+    piv_vals: list[Fraction] = []
+    piv_idx: list[int] = []
+
+    def pull_back(y: list[Fraction]) -> list[Fraction]:
+        # find z with z^T Q z = y^T S y: z agrees with y on active indices,
+        # corrections on eliminated ones kill every recorded column.
+        z = y[:]
+        for r in range(len(piv_cols) - 1, -1, -1):
+            c = piv_cols[r]
+            dot = sum((c[t] * z[t] for t in range(n) if z[t] != 0), Fraction(0))
+            z[piv_idx[r]] -= dot
+        return z
+
+    def unit(*entries) -> list[Fraction]:
+        y = [Fraction(0)] * n
+        for i, v in entries:
+            y[i] = Fraction(v)
+        return pull_back(y)
+
+    while active:
+        p = max(active, key=lambda i: S[i][i])
+        d = S[p][p]
+        if d < 0:
+            return piv_cols, piv_vals, unit((p, 1))
+        if d == 0:
+            # every remaining diagonal is <= 0, hence exactly 0 here
+            for i in active:
+                if S[i][i] < 0:
+                    return piv_cols, piv_vals, unit((i, 1))
+                for j in active:
+                    if S[i][j] != 0:
+                        # minor [[0, s],[s, S_jj]]: try z = e_i - sign(s) e_j
+                        return piv_cols, piv_vals, unit((i, 1), (j, -1 if S[i][j] > 0 else 1))
+            break  # residual is exactly zero
+        col = [Fraction(0)] * n
+        for i in active:
+            col[i] = S[i][p] / d
+        for i in active:
+            ci = col[i]
+            if ci == 0:
+                continue
+            Si = S[i]
+            for j in active:
+                if col[j] != 0:
+                    Si[j] -= d * ci * col[j]
+        piv_cols.append(col)
+        piv_vals.append(d)
+        piv_idx.append(p)
+        active.remove(p)
+    return piv_cols, piv_vals, None
+
+
+def fraction_ldl_psd_check(Q_in):
+    """exactq.ldl_psd_check as it was before its fraction-free rewrite:
+    the same components, pivots and witnesses, with every Schur-complement
+    update done in Fraction arithmetic (_eliminate) and the decomposition
+    re-multiplied in Fractions on the nonzeros. It has no work budget.
+
+    The integer exactq.ldl_psd_check must return an equal PsdWitness.
+    """
+    from specsum.exactq import (_ZERO, NOT_PSD, PSD, PsdWitness, _components,
+                                _nonzeros, q_eval)
+
+    nz = _nonzeros(Q_in)
+    n = len(nz)
+    decomp = []
+    R = [{} for _ in range(n)]  # the re-multiplied decomposition, as nz
+    for comp in _components(nz):
+        sub = [[nz[i].get(j, _ZERO) for j in comp] for i in comp]
+        cols, vals, y = _eliminate(sub)
+        if y is not None:
+            z = [_ZERO] * n
+            for i, yi in zip(comp, y):
+                z[i] = yi
+            value = q_eval(sub, y)  # z is zero off the component
+            if not value < 0:
+                raise ArithmeticError("internal error: witness is not negative")
+            return PsdWitness(verdict=NOT_PSD, counterexample=tuple(z), value=value)
+        for c, d in zip(cols, vals):
+            support = [(i, ci) for i, ci in zip(comp, c) if ci]
+            full = [_ZERO] * n
+            for i, ci in support:
+                full[i] = ci
+                dci, Ri = d * ci, R[i]
+                for j, cj in support:
+                    Ri[j] = Ri.get(j, _ZERO) + dci * cj
+            decomp.append((full, d))
+    if any(Ri.get(j, _ZERO) != Qi.get(j, _ZERO)
+           for Ri, Qi in zip(R, nz) for j in Ri.keys() | Qi.keys()):
+        raise ArithmeticError("internal error: decomposition does not re-multiply to Q")
+    return PsdWitness(verdict=PSD, decomposition=tuple((tuple(c), d) for c, d in decomp))
+
+
+def work_score(Q) -> int:
+    """The largest, over the connected components of Q's nonzero pattern,
+    of the component's size times the bit length of its largest entry
+    over the lcm of its denominators: the measure exactq.MAX_WORK bounds."""
+    from specsum.exactq import components
+
+    best = 0
+    for comp in components(Q):
+        vals = [Fraction(Q[i][j]) for i in comp for j in comp]
+        L = math.lcm(*(x.denominator for x in vals))
+        best = max(best, len(comp) * max(abs(x * L).numerator for x in vals).bit_length())
+    return best
+
+
+def hostile_certificate(cert, seed: int = 0, digits: int = 240):
+    """cert with every free parameter moved by +-1/N, a fresh random
+    `digits`-digit N for each, and every dependent entry rebuilt: it passes
+    the identity whenever cert does.
+
+    The free parameters are the entries of Q_00 (an entry and its mirror
+    together), the strict upper triangle of each skew Q_0i, and the skew
+    part of each Q_ij, i < j. T = c*I - Q_00 and Q_ii = R_i - Q_00 follow
+    Q_00. The moved entries couple every block of Q into one component
+    whose denominators share no factor.
+    """
+    rng = random.Random(seed)
+    k, m = cert.k, cert.m
+    Q = [list(row) for row in cert.Q]
+    T = [list(row) for row in cert.T]
+
+    def step():
+        return Fraction(rng.choice((-1, 1)), rng.randrange(10 ** (digits - 1), 10 ** digits))
+
+    def move(M, t, u, e):
+        M[t][u] += e
+        if t != u:
+            M[u][t] += e
+
+    for r in range(m):
+        for s in range(r, m):
+            e = step()
+            move(Q, r, s, e)
+            move(T, r, s, -e)
+            for i in range(1, k + 1):
+                move(Q, i * m + r, i * m + s, -e)
+    for a in range(k + 1):
+        for i in range(a + 1, k + 1):
+            for r in range(m):
+                for s in range(r + 1, m):
+                    e = step()
+                    move(Q, a * m + r, i * m + s, e)
+                    move(Q, a * m + s, i * m + r, -e)
+    return dataclasses.replace(cert, Q=tuple(map(tuple, Q)), T=tuple(map(tuple, T)))
 
 
 def spot_check_loop(base, c, samples: int = 1000, seed: int = 0) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from specsum import certify as ct
 from specsum import check, cli, exactq, graphs, stepmodel
-from oracles import additive_compound_pairs, dense_verify_identity, spot_check_loop
+from oracles import (additive_compound_pairs, dense_verify_identity, fraction_ldl_psd_check,
+                     hostile_certificate, spot_check_loop, work_score)
 
 C87 = Fraction(8, 7)
 
@@ -499,6 +501,68 @@ class TestCertify:
         with pytest.raises(ValueError, match="max_den must be >= 1"):
             ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_den=max_den))
         assert calls == []
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_refused_before_solving(self, monkeypatch, max_iter):
+        calls = []
+        for stage in ("assemble", "sdp_solve"):
+            monkeypatch.setattr(ct, stage, lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_iter=max_iter))
+        assert calls == []
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_point(name, c):
+    """The solver's point for a catalog base at c, after at most 2000
+    iterations: every bound here but 9/8 converges well within them."""
+    return ct.sdp_solve(problem(name, c), max_iter=2000).Q
+
+
+class TestExactPsdOnTheLadder:
+    @pytest.mark.parametrize("c", [C87, Fraction(6, 5), Fraction(23, 20), Fraction(9, 8)],
+                             ids=["8/7", "6/5", "23/20", "9/8"])
+    @pytest.mark.parametrize("name", ["P3", "P4", "H5", "H6"])
+    def test_every_rung_matches_fraction_reference(self, name, c):
+        # the integer elimination returns the PsdWitness of the Fraction one
+        # on every rung up to 10^4, the failing ones and their witnesses too
+        p = problem(name, c)
+        verdicts = set()
+        for d in ct._denominator_ladder(10 ** 4):
+            Q = ct.rationalize(p, ladder_point(name, c), max_den=d).Q
+            w = exactq.ldl_psd_check(Q)
+            assert w == fraction_ldl_psd_check(Q)
+            verdicts.add(w.verdict)
+        assert (exactq.PSD in verdicts) == (c != Fraction(9, 8))
+
+    @pytest.mark.parametrize("name,c", list(RUNGS))
+    def test_every_rung_up_to_1e9_within_budget(self, name, c):
+        # the pinned calls' points rounded at every rung up to 10^9, beyond
+        # any default ladder, stay inside the work budget (the largest
+        # score here is 2,115, on H6)
+        p, Qn = problem(name, c), certified(name, c).solve.Q
+        for d in ct._denominator_ladder(10 ** 9):
+            Q = ct.rationalize(p, Qn, max_den=d).Q
+            assert work_score(Q) <= exactq.MAX_WORK
+            exactq.ldl_psd_check(Q)
+
+    @pytest.mark.parametrize("name", ["P3", "H6"])
+    def test_hostile_certificate_refused_within_a_second(self, capsys, tmp_path, name):
+        # every free parameter moved by 1/N for a fresh 240-digit N: inside
+        # the grammar, the identity holds, and the budget refuses the LDL^T
+        r = ct.certify(ct.cert_base(name), 2)
+        cert = hostile_certificate(r.certificate)
+        assert ct.verify_identity(cert).ok
+        f = tmp_path / "hostile.txt"
+        f.write_text(ct.format_certificate(cert))
+        t0 = time.perf_counter()
+        code = cli.main(["verify", str(f)])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: PSD check refused: a component of ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert elapsed < 1.0
 
 
 class TestBaseTable:

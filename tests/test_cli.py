@@ -1,11 +1,19 @@
 import argparse
+import contextlib
+import functools
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import specsum
 from specsum import check, cli, graphs, stepmodel
@@ -255,6 +263,14 @@ class TestCertifyVerify:
         assert code == 1
         assert kv(out)["status"] == "NOT_FOUND"
 
+    def test_max_iter_below_one_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "p3.txt"
+        code = cli.main(["certify", "P3", "--max-iter", "-5", "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: max_iter must be >= 1\n"
+        assert not out_file.exists()
+
     def test_verify_unknown_base_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "u.txt"
         f.write_text("candidate K9\nbound 1/1\n2 1 3\n" + "0/1 0/1 0/1\n" * 3
@@ -316,6 +332,70 @@ class TestCertifyVerify:
         assert d["identity_violation"] == \
             "coefficient dims entry (0,0): got (4, 6), want (3, 3)"
         assert d["psd"] == "SKIPPED" and d["verdict"] == "FAIL"
+
+
+@functools.lru_cache(maxsize=None)
+def p3_certificate_text() -> str:
+    from specsum import certify as ct
+
+    return ct.format_certificate(ct.certify(ct.cert_base("P3"), Fraction(8, 7)).certificate)
+
+
+#: the wall-clock limit on one `ssc verify` of a mutant; a valid P3
+#: certificate takes a few milliseconds
+MUTANT_SECONDS = 2.0
+
+
+def mutant(kind: str, data) -> str:
+    """The P3 certificate with one mutation of this kind, drawn from data;
+    each one makes the file malformed or false."""
+    text = p3_certificate_text()
+    lines = text.splitlines()
+    toks = [(ln, t) for ln, row in enumerate(lines) for t in range(len(row.split()))]
+
+    def put(ln, t, tok):
+        row = lines[ln].split()
+        row[t] = tok
+        lines[ln] = " ".join(row)
+
+    if kind == "swap":  # two tokens of different text trade places
+        (la, ta), (lb, tb) = data.draw(st.tuples(st.sampled_from(toks), st.sampled_from(toks)))
+        a, b = lines[la].split()[ta], lines[lb].split()[tb]
+        assume(a != b)
+        put(la, ta, b)
+        put(lb, tb, a)
+    elif kind == "truncate":  # cut anywhere before the last row ends
+        return text[:data.draw(st.integers(0, len(text) - len(lines[-1]) - 1))]
+    elif kind == "huge":
+        ln, t = data.draw(st.sampled_from(toks))
+        put(ln, t, data.draw(st.sampled_from(
+            ["9" * 600, "1/" + "7" * 498, "-" + "9" * 499, "1e500", "1/1e500"])))
+    else:  # an inconsistent "k m dimQ"
+        head = data.draw(st.tuples(*[st.integers(0, 10 ** 600) | st.integers(0, 40)] * 3))
+        assume(head != (3, 3, 12))
+        lines[2] = " ".join(map(str, head))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["swap", "truncate", "huge", "header"]), data=st.data())
+def test_mutated_certificate_fails_closed(kind, data):
+    text = mutant(kind, data)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "mutant.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", path])
+        elapsed = time.perf_counter() - t0
+    assert code in (1, 2)
+    assert elapsed < MUTANT_SECONDS
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+    else:
+        assert "verdict: FAIL" in out.getvalue()
 
 
 class TestCompound:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import exactq
-from oracles import dense_ldl_psd_check, rational_matrix
+from oracles import dense_ldl_psd_check, fraction_ldl_psd_check, rational_matrix, work_score
 
 
 def remultiply(decomp, n):
@@ -267,3 +268,172 @@ class TestRationalIO:
             exactq.read_matrix_q("2\n1 2\n")
         with pytest.raises(ValueError, match="line 1"):
             exactq.read_matrix_q("\uff12\n1 0\n0 1\n")  # fullwidth two
+
+
+# denominators that share some factors and not others, so that components
+# scale by different lcms
+MIXED_DENS = (1, 2, 3, 5, 7, 12, 35, 97)
+KINDS = ("gram", "rank_deficient", "shifted_negative", "zero_diagonal", "mixed")
+
+
+def drawn_matrix(kind: str, seed: int, n: int):
+    """A symmetric n x n Fraction matrix of one kind, with entries over
+    MIXED_DENS and about a third of them zero, so that most split into
+    several components: a Gram product G^T G of full rank n or of rank below
+    n; one with a diagonal entry shifted below zero; one with a zero
+    diagonal entry and a nonzero entry in its row; or symmetric noise."""
+    rng = np.random.default_rng(seed)
+
+    def rat():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        return Fraction(int(rng.integers(-9, 10)), int(rng.choice(MIXED_DENS)))
+
+    if kind == "mixed":
+        Q = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                Q[i][j] = Q[j][i] = rat()
+        return Q
+    rank = int(rng.integers(0, n)) if kind == "rank_deficient" else n
+    G = [[rat() for _ in range(n)] for _ in range(rank)]
+    Q = [[sum((G[r][i] * G[r][j] for r in range(rank)), Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    i = int(rng.integers(0, n))
+    if kind == "shifted_negative":
+        Q[i][i] -= Q[i][i] + Fraction(1, int(rng.choice(MIXED_DENS)))
+    elif kind == "zero_diagonal" and n > 1:
+        Q[i][i] = Fraction(0)
+        if not any(Q[i]):
+            j = (i + 1) % n
+            Q[i][j] = Q[j][i] = Fraction(1, int(rng.choice(MIXED_DENS)))
+    return Q
+
+
+class TestFractionFreeElimination:
+    """The integer ldl_psd_check against the Fraction elimination it
+    replaced (oracles.fraction_ldl_psd_check): equal PsdWitness values,
+    verdict, decomposition, counterexample and value alike."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(0, 10 ** 6), st.integers(1, 7))
+    def test_matches_fraction_reference(self, kind, seed, n):
+        Q = drawn_matrix(kind, seed, n)
+        w = exactq.ldl_psd_check(Q)
+        assert w == fraction_ldl_psd_check(Q)
+        if kind in ("gram", "rank_deficient"):
+            assert w.verdict == exactq.PSD
+        elif kind == "shifted_negative" or (kind == "zero_diagonal" and n > 1):
+            assert w.verdict == exactq.NOT_PSD
+
+    def test_matches_fraction_reference_1000_seeded(self):
+        rng = np.random.default_rng(16)
+        for _ in range(1000):
+            kind = KINDS[int(rng.integers(0, len(KINDS)))]
+            Q = drawn_matrix(kind, int(rng.integers(0, 10 ** 6)), int(rng.integers(1, 8)))
+            assert exactq.ldl_psd_check(Q) == fraction_ldl_psd_check(Q)
+
+    @staticmethod
+    def gram4():
+        # one component of 4 coordinates, full rank: 4 pivots
+        G = [[Fraction(v, d) for v, d in zip(row, (1, 3, 7, 2))]
+             for row in ((2, 1, 0, -1), (1, -2, 3, 0), (0, 1, 1, 5), (4, 0, -1, 1))]
+        return [[sum(G[r][i] * G[r][j] for r in range(4)) for j in range(4)]
+                for i in range(4)]
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("i", range(4))
+    def test_altered_column_fails_remultiplication(self, monkeypatch, k, i):
+        # one entry of one recorded pivot row moved by 1, wherever it is:
+        # the integer re-multiplication must refuse the decomposition
+        Q = self.gram4()
+        assert exactq.ldl_psd_check(Q).verdict == exactq.PSD
+        real = exactq._bareiss
+
+        def altered(B):
+            order, rows, piv, bad = real(B)
+            assert len(rows) == 4 and bad is None
+            rows[k][i] += 1
+            return order, rows, piv, bad
+
+        monkeypatch.setattr(exactq, "_bareiss", altered)
+        with pytest.raises(ArithmeticError, match="does not re-multiply"):
+            exactq.ldl_psd_check(Q)
+
+    def test_pivots_are_scaled_leading_minors(self):
+        # d_k is the k-th leading principal minor of L*Q in pivot order, and
+        # the returned pivot d_k / (L d_{k-1}) is the rational one
+        Q = self.gram4()
+        L = math.lcm(*(x.denominator for row in Q for x in row))
+        B = [[int(x * L) for x in row] for row in Q]
+        order, rows, piv, bad = exactq._bareiss(B)
+        assert bad is None and sorted(order) == [0, 1, 2, 3]
+        for k in range(1, 5):
+            P = order[:k]
+            sub = np.array([[float(B[a][b]) for b in P] for a in P])
+            assert piv[k - 1] == pytest.approx(np.linalg.det(sub), rel=1e-9)
+        pivots = [d for _, d in exactq.ldl_psd_check(Q).decomposition]
+        assert pivots == [Fraction(d, L * prev) for d, prev in zip(piv, [1] + piv[:-1])]
+
+
+class TestWorkBudget:
+    @staticmethod
+    def dense(n, nums, dens):
+        Q = [[Fraction(0)] * n for _ in range(n)]
+        t = 0
+        for i in range(n):
+            for j in range(i, n):
+                Q[i][j] = Q[j][i] = Fraction(nums[t], dens[t])
+                t += 1
+        return Q
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 4),
+           st.integers(1, 1400).flatmap(
+               lambda bits: st.lists(st.integers(1, 2 ** bits), min_size=10, max_size=10)),
+           st.lists(st.integers(-(2 ** 600), 2 ** 600).filter(bool), min_size=10, max_size=10))
+    def test_refused_exactly_over_budget(self, n, dens, nums):
+        # one dense component; refused iff its measure is above MAX_WORK,
+        # whether the lcm's lower bound or the final entry trips it
+        Q = self.dense(n, nums, dens)
+        over = work_score(Q) > exactq.MAX_WORK
+        try:
+            w = exactq.ldl_psd_check(Q)
+        except ValueError as e:
+            assert over and "over the work budget" in str(e)
+        else:
+            assert not over
+            assert w == fraction_ldl_psd_check(Q)
+
+    def test_many_unrelated_denominators_admitted_under_budget(self):
+        # ten 101-bit denominators with no common factor to speak of: the
+        # lcm has 992 bits and the measure is 3,568, so the lcm's lower
+        # bound (3,564) comes close to the budget but must not refuse
+        Q = self.dense(4, [1] * 10, [2 ** 100 + 2 * k + 1 for k in range(10)])
+        assert work_score(Q) == 3568
+        assert exactq.ldl_psd_check(Q) == fraction_ldl_psd_check(Q)
+
+    def test_checked_before_any_elimination(self, monkeypatch):
+        # a PSD component first, then one whose three unrelated 400-digit
+        # denominators put it over budget: nothing is eliminated
+        calls = []
+        monkeypatch.setattr(exactq, "_bareiss", lambda B: calls.append(B))
+        big = [Fraction(1, 10 ** 399 + k) for k in (1, 3, 7)]
+        Z = Fraction(0)
+        Q = [[Fraction(1), Z, Z, Z],
+             [Z, big[0], big[1], Z],
+             [Z, big[1], big[2], big[0]],
+             [Z, Z, big[0], big[1]]]
+        assert work_score(Q) > exactq.MAX_WORK
+        with pytest.raises(ValueError, match="a component of 3 coordinates is over the work"):
+            exactq.ldl_psd_check(Q)
+        assert calls == []
+
+    def test_integer_entries_count_their_own_bits(self):
+        # no denominator at all: the bit length of the largest entry alone
+        b = exactq.MAX_WORK // 2
+        ok = [[Fraction(2 ** (b - 1)), Fraction(1)], [Fraction(1), Fraction(1)]]
+        assert exactq.ldl_psd_check(ok).verdict == exactq.PSD
+        ok[0][0] *= 2
+        with pytest.raises(ValueError, match="over the work budget"):
+            exactq.ldl_psd_check(ok)
