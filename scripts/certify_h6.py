@@ -22,13 +22,13 @@ self-contained and re-checkable with `ssc verify`.
 import argparse
 import time
 
-from specsum import certify, exactq
+from specsum import certify, check, exactq
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("base", nargs="?", default="H6",
-                    choices=sorted(certify.CERT_BASES))
+                    choices=sorted(check.BASES))
     ap.add_argument("--bound", default="8/7")
     ap.add_argument("--max-den", type=int, default=10 ** 4,
                     help="largest denominator tried")
@@ -36,11 +36,10 @@ def main():
     args = ap.parse_args()
 
     c = exactq.parse_rational(args.bound)
-    cfg = certify.CertifyConfig(max_den=args.max_den)
     cand = certify.cert_base(args.base)
 
     t0 = time.perf_counter()
-    r = certify.certify(cand, c, cfg)
+    r = certify.certify(cand, c, max_den=args.max_den)
     dt = time.perf_counter() - t0
 
     print(f"base {args.base}, bound {exactq.format_rational(c)}: {r.status} "

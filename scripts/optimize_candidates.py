@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from specsum import stepmodel
+from specsum import check, stepmodel
 
 
 def show(name, restarts, seed):
@@ -53,7 +53,7 @@ def main():
                     help="Dirichlet probes scored besides the 1/14 grid")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    for name in ("P3", "P4", "H5", "H6"):
+    for name in check.CANDIDATES:
         show(name, args.restarts, args.seed)
 
 

@@ -57,21 +57,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import check, compound, exactq
+from . import check, compound, exactq, stepmodel
 from .check import (Certificate, IdentityReport, format_certificate,  # noqa: F401
                     parse_certificate, verify_identity, verify_psd)
 from .exactq import _ZERO, QMatrix
-from .graphs import graph
 from .stepmodel import CandidateGraph
 
-#: bases accepted by name in certificate files: check.BASES as graphs
-CERT_BASES: dict[str, CandidateGraph] = {
-    name: CandidateGraph(name, graph(k, edges)) for name, (k, edges) in check.BASES.items()}
-
-
-def cert_base(name: str) -> CandidateGraph:
-    check.base(name)  # refuses an unknown name
-    return CERT_BASES[name]
+#: a base of check.BASES as a graph, by name: the one lookup there is
+cert_base = stepmodel.candidate
 
 
 @dataclass(frozen=True)
@@ -298,7 +291,7 @@ def _freeze(M: QMatrix) -> tuple:
     return tuple(tuple(row) for row in M)
 
 
-def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int = 10 ** 4) -> Certificate:
+def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int) -> Certificate:
     """Round the free parameters to denominators <= max_den and reconstruct
     every dependent entry exactly from the coefficient equations.
 
@@ -357,12 +350,6 @@ def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
 
 
 @dataclass(frozen=True)
-class CertifyConfig:
-    max_iter: int = 50000
-    max_den: int = 10 ** 4  # the largest denominator tried
-
-
-@dataclass(frozen=True)
 class CertifyResult:
     status: str  # FOUND | NOT_FOUND
     certificate: Certificate | None
@@ -384,7 +371,14 @@ def _denominator_ladder(max_den: int) -> list[int]:
     return sorted(ds)
 
 
-def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) -> CertifyResult:
+#: the largest |c| certify accepts. On a bound below sigma* the solver's
+#: iterate grows by about |c| per iteration, so this leaves the float solve
+#: 2^500 of headroom at any iteration count that can run.
+MAX_BOUND = 2 ** 512
+
+
+def certify(cand: CandidateGraph, c, *, max_iter: int = 50000,
+            max_den: int = 10 ** 4) -> CertifyResult:
     """assemble -> sdp_solve -> rationalize -> verify.
 
     One solve, then one walk up the denominator ladder from the solver's
@@ -394,17 +388,20 @@ def certify(cand: CandidateGraph, c, config: CertifyConfig = CertifyConfig()) ->
     the call `ssc verify` makes, and a violation raises ArithmeticError.
     The returned certificate always passes both exact checks. On NOT_FOUND
     the failing stage is sdp_solve if the solve did not converge, else
-    verify_psd. A max_den or max_iter below 1 raises ValueError before any
-    work.
+    verify_psd. max_den is the largest denominator tried. A max_den or
+    max_iter below 1, or a bound beyond MAX_BOUND in absolute value, raises
+    ValueError before any work.
     """
-    if config.max_den < 1:
+    if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    if config.max_iter < 1:
+    if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if abs(Fraction(c)) > MAX_BOUND:
+        raise ValueError("bound must be at most 2^512 in absolute value")
     p = assemble(cand, c)
-    solve = sdp_solve(p, max_iter=config.max_iter)
+    solve = sdp_solve(p, max_iter=max_iter)
     attempts = []
-    for d in _denominator_ladder(config.max_den):
+    for d in _denominator_ladder(max_den):
         cert = rationalize(p, solve.Q, max_den=d)
         wit = verify_psd(cert)
         attempts.append((d, wit.verdict))

@@ -45,8 +45,9 @@ CANDIDATES: dict[str, tuple] = {
     "H6": _looped(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
                       (4, 6), (5, 6)]),
 }
-#: bases accepted by name in certificate files; the four candidates plus a
-#: 2-vertex looped edge whose certificate at c = 1 is trivial (Q = 0, T = [1])
+#: bases accepted by name in certificate files, the one table of base edge
+#: lists: the four candidates plus a 2-vertex looped edge whose certificate
+#: at c = 1 is trivial (Q = 0, T = [1])
 BASES: dict[str, tuple] = {**CANDIDATES, "K2": _looped(2, [(1, 2)])}
 
 

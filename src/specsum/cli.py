@@ -152,8 +152,7 @@ def cmd_certify(name: str, bound: str = "8/7", max_den: int = 10 ** 4,
     t0 = time.perf_counter()
     cand = certify_mod.cert_base(name)
     c = exactq.parse_rational(bound)
-    cfg = certify_mod.CertifyConfig(max_iter=max_iter, max_den=max_den)
-    r = certify_mod.certify(cand, c, cfg)
+    r = certify_mod.certify(cand, c, max_iter=max_iter, max_den=max_den)
     results = [("candidate", name), ("bound", exactq.format_rational(c)),
                ("status", r.status),
                ("sdp_status", r.solve.status),
@@ -182,7 +181,6 @@ def cmd_verify(path: str) -> RunReport:
     coefficient equations for the named base, compare over Q, then LDL^T."""
     t0 = time.perf_counter()
     cert = check.parse_certificate(_read_text(path))
-    check.base(cert.candidate)  # unknown name -> usage error
     results = [("candidate", cert.candidate),
                ("bound", exactq.format_rational(cert.c)),
                ("k", str(cert.k)), ("m", str(cert.m)),

@@ -1,8 +1,8 @@
-"""Graphs with optional loops: spectral sums, blowups, the K(n,p,q) family,
-and exhaustive extremal search over graphs on small orders.
+"""Graphs with optional loops: spectral sums, the K(n,p,q) family, and
+exhaustive extremal search over graphs on small orders.
 
 Vertices are labeled 1..n. Edges are unordered pairs {i,j}; i = j is a loop
-(adjacency diagonal 1). Only base graphs carry loops; blowups reject them.
+(adjacency diagonal 1). Only base graphs carry loops.
 """
 
 from __future__ import annotations
@@ -44,16 +44,9 @@ class Graph:
             A[j - 1, i - 1] = 1.0
         return A
 
-    def has_loops(self) -> bool:
-        return any(i == j for i, j in self.edges)
-
 
 def graph(n: int, edges=()) -> Graph:
     return Graph(n=n, edges=frozenset(tuple(e) for e in edges))
-
-
-def complete_graph(n: int) -> Graph:
-    return graph(n, itertools.combinations(range(1, n + 1), 2))
 
 
 @dataclass(frozen=True)
@@ -75,23 +68,6 @@ def spectral_sum(G: Graph) -> SpectralSummary:
         return SpectralSummary(w, float(w[0]), 0.0, float(w[0]),
                                lambda2_by_convention=True)
     return SpectralSummary(w, float(w[0]), float(w[1]), float(w[0] + w[1]))
-
-
-def blowup(G: Graph, t: int) -> Graph:
-    """Replace each vertex by t independent copies; copies inherit adjacency.
-
-    Spectrum of the result is {t * lambda_i(G)} plus n(t-1) zeros.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if G.has_loops():
-        raise ValueError("blowup is undefined for graphs with loops")
-    edges = set()
-    for i, j in G.edges:
-        for a in range(t):
-            for b in range(t):
-                edges.add(((i - 1) * t + a + 1, (j - 1) * t + b + 1))
-    return graph(G.n * t, edges)
 
 
 def knpq(n: int, p: int, q: int) -> Graph:

@@ -3,19 +3,14 @@ maximization over the weight simplex, and extremal diagnostics.
 
 A step model is a base graph on k looped vertices plus simplex weights u;
 its matrix is M*[i][j] = sqrt(u_i u_j) on edges (loops included) and 0
-elsewhere. sigma = lambda1(M*) + lambda2(M*). The four catalog bases:
-
-    P3: path 1-2-3
-    P4: path 1-2-3-4
-    H5: edges 12 13 23 24 34 35 45
-    H6: edges 12 13 23 24 34 35 45 46 56
-
-each with a loop on every vertex. All four are true-twin-free. The maximum
-of sigma over the simplex is 8/7 for every one of them; for P3 it is
-attained at u = (2/7, 3/7, 2/7), and the larger bases attain it on
-embedded-path boundary points (e.g. H6 at u = (2/7, 3/7, 0, 2/7, 0, 0)).
-Those points lie on the 1/14 simplex grid, which maximize_sigma scores
-along with a few random probes.
+elsewhere. sigma = lambda1(M*) + lambda2(M*). The bases are the edge lists
+of `check.BASES`, and `candidate` builds one as a graph. The four catalog
+bases, `check.CANDIDATES` (P3, P4, H5 and H6), carry a loop on every vertex
+and are true-twin-free. The maximum of sigma over the simplex is 8/7 for
+every one of them; for P3 it is attained at u = (2/7, 3/7, 2/7), and the
+larger bases attain it on embedded-path boundary points (e.g. H6 at
+u = (2/7, 3/7, 0, 2/7, 0, 0)). Those points lie on the 1/14 simplex grid,
+which maximize_sigma scores along with a few random probes.
 """
 
 from __future__ import annotations
@@ -47,16 +42,10 @@ class CandidateGraph:
         return self.graph.n
 
 
-#: the four catalog bases, from check.CANDIDATES
-CANDIDATES: dict[str, CandidateGraph] = {
-    name: CandidateGraph(name, graph(k, edges)) for name, (k, edges) in check.CANDIDATES.items()}
-
-
 def candidate(name: str) -> CandidateGraph:
-    try:
-        return CANDIDATES[name]
-    except KeyError:
-        raise ValueError(f"unknown candidate {name!r}; have {sorted(CANDIDATES)}")
+    """The base `name` of `check.BASES` as a graph, built on each call;
+    ValueError if unknown."""
+    return CandidateGraph(name, graph(*check.base(name)))
 
 
 @dataclass(frozen=True)

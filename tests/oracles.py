@@ -41,6 +41,31 @@ def path_spectrum(n: int) -> np.ndarray:
     return np.sort(2 * np.cos(k * np.pi / (n + 1)))[::-1]
 
 
+def complete_graph(n: int):
+    from specsum.graphs import graph
+
+    return graph(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def blowup(G, t: int):
+    """Replace each vertex by t independent copies; copies inherit adjacency.
+
+    Spectrum of the result is {t * lambda_i(G)} plus n(t-1) zeros.
+    """
+    from specsum.graphs import graph
+
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if any(i == j for i, j in G.edges):
+        raise ValueError("blowup is undefined for graphs with loops")
+    edges = set()
+    for i, j in G.edges:
+        for a in range(t):
+            for b in range(t):
+                edges.add(((i - 1) * t + a + 1, (j - 1) * t + b + 1))
+    return graph(G.n * t, edges)
+
+
 def pair_sums(eigs) -> np.ndarray:
     """All lambda_i + lambda_j for i < j, sorted descending."""
     e = np.asarray(eigs, dtype=float)

