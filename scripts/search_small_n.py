@@ -1,4 +1,5 @@
-"""Exhaustive spectral-sum extremes over all graphs, n = 2..7.
+"""Exhaustive spectral-sum extremes over all graphs, n = 2..N (N = 7 by
+default, at most 8).
 
 Run:  python scripts/search_small_n.py [--max-n N]
 
@@ -6,10 +7,12 @@ For each n this reports the maximum of lambda1 + lambda2 against the 8n/7
 ceiling, compares the maximizer to the conjectured extremal family
 K(n,p,q) (join of a clique with two cliques) by degree sequence and
 spectrum, and reports the minimum over connected graphs next to it. Each
-search eigensolves only the labelings whose degrees do not increase, which
-a split table of low- and high-bit degrees picks out of the 2^C(n,2) edge
-masks (graphs.search_extremal); n = 7 takes about 0.1 s of CPU per mode,
-and n = 8 (2^28 masks) about 5 s (MAX) and 6 s (MIN_CONNECTED).
+search takes only the labelings whose degrees do not increase, which a
+split table of low- and high-bit degrees picks out of the 2^C(n,2) edge
+masks, and eigensolves only those that a bound from their degrees cannot
+rule out (graphs.search_extremal). n = 7 takes about 0.01 s of CPU per
+mode, and n = 8 (2^28 masks) about 0.45 s (MAX) and 0.4 s
+(MIN_CONNECTED), with one BLAS thread.
 
 Exits 1 if a maximum exceeds 8n/7 or, for n >= 5, the maximizer does not
 match K(n,p,q).

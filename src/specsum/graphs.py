@@ -17,8 +17,14 @@ from .exactq import parse_int
 
 MAX = "MAX"
 MIN_CONNECTED = "MIN_CONNECTED"
-#: the most edge masks that search_extremal eigensolves at once
-SEARCH_BATCH = 4096
+#: the most edge masks that search_extremal eigensolves at once; 128 to
+#: 512 ran equally fast at n = 6..8, and larger stacks pass the cutoff
+SEARCH_BATCH = 256
+#: bits in the low half of a mask that _degree_ordered_stacks tables
+LOW_BITS = 12
+#: added to a bound before search_extremal compares it with a float sum,
+#: far above the rounding of either
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,8 @@ def _degree_steps(masks: np.ndarray, inc: list[int]) -> np.ndarray:
 
 def _degree_ordered_stacks(n: int):
     """Yield, in increasing order, the edge masks on n vertices that label
-    their graph so that deg(1) >= deg(2) >= ... >= deg(n), in stacks of at
-    most SEARCH_BATCH masks.
+    their graph so that deg(1) >= deg(2) >= ... >= deg(n), one stack per
+    chunk of 2^LOW_BITS high halves.
 
     A mask is hi << L | lo, and each degree is the sum of the degrees that
     the low L bits and the high bits give, so the mask passes exactly when
@@ -146,17 +152,16 @@ def _degree_ordered_stacks(n: int):
     """
     inc = _incidence(n)
     pairs = n * (n - 1) // 2
-    # 2^L <= SEARCH_BATCH, so one high half never overflows a stack
-    L = min(pairs, SEARCH_BATCH.bit_length() - 1)
+    L = min(pairs, LOW_BITS)
     n_high = 1 << (pairs - L)
     table = _degree_steps(np.arange(1 << L, dtype=np.int64), inc)
     top = table.max(axis=1, keepdims=True)
     picks = {}  # threshold bytes -> passing low halves
-    stack, size = [], 0
     # thresholds of 2^L high halves at a time take no more room than the table
     for start in range(0, n_high, 1 << L):
         highs = np.arange(start, min(start + (1 << L), n_high), dtype=np.int64) << L
         need = -_degree_steps(highs, inc)
+        stack = []
         for h in np.flatnonzero(np.all(need <= top, axis=0)):
             thr = need[:, h, None]
             key = thr.tobytes()
@@ -165,13 +170,23 @@ def _degree_ordered_stacks(n: int):
                 lows = np.flatnonzero(np.all(table >= thr, axis=0))
                 lows = picks[key] = lows.astype(np.uint16)
             stack.append(highs[h] | lows)
-            size += lows.size
-            if size >= SEARCH_BATCH:
-                masks = np.concatenate(stack)
-                yield masks[:SEARCH_BATCH]
-                stack, size = [masks[SEARCH_BATCH:]], size - SEARCH_BATCH
-    if size:
-        yield np.concatenate(stack)
+        if stack:
+            yield np.concatenate(stack)
+
+
+def _sum_bounds(n: int, masks: np.ndarray, mode: str) -> np.ndarray:
+    """Per mask, the bound of search_extremal's docstring on
+    sign * (lambda1 + lambda2) of its loop-free graph, from its edge count
+    and degrees alone."""
+    deg = np.stack([np.bitwise_count(masks & row) for row in _incidence(n)])
+    m = np.bitwise_count(masks).astype(np.int64)
+    sq = np.sum(deg.astype(np.int64) ** 2, axis=0)  # sum of d^2
+    ell = np.sqrt(sq / n)
+    if mode == MIN_CONNECTED:
+        return np.where(2 * m == n * (n - 1), 1.0 - ell, -ell)
+    far = np.sqrt(4 * m * (n - 2) / n)
+    near = ((n - 2) * ell + np.sqrt((n - 2) * (2 * (n - 1) * m - sq))) / (n - 1)
+    return np.where(sq <= m * (n - 2), far, near)
 
 
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
@@ -196,38 +211,59 @@ def _connected_stack(A: np.ndarray) -> np.ndarray:
 def search_extremal(n: int, mode: str) -> tuple[Graph, float]:
     """Exhaustive extremal search over loop-free graphs on n vertices.
 
-    MAX: maximize lambda1 + lambda2. MIN_CONNECTED: minimize it over
+    MAX: maximize s = lambda1 + lambda2. MIN_CONNECTED: minimize it over
     connected graphs. Bit b of an edge mask is pair b in lexicographic
-    order (1,2),(1,3),...; the scan eigensolves, in increasing mask order
-    and in stacks of at most SEARCH_BATCH, only the labelings whose degrees
-    do not increase, deg(1) >= deg(2) >= ... >= deg(n), which a split table
-    of low- and high-bit degrees picks without counting every mask's
-    degrees (_degree_ordered_stacks). Relabeling changes
-    neither lambda1 + lambda2 nor connectivity, and sorting the vertices by
-    degree gives every graph such a labeling, so the extremum over these
-    labelings is the extremum over all graphs. Ties go to the first such
-    mask in increasing order whose float lambda1 + lambda2 is largest
-    (smallest when minimizing).
+    order (1,2),(1,3),...; the search considers only the labelings whose
+    degrees do not increase, deg(1) >= deg(2) >= ... >= deg(n), which a
+    split table of low- and high-bit degrees picks without counting every
+    mask's degrees (_degree_ordered_stacks). Relabeling changes neither s
+    nor connectivity, and sorting the vertices by degree gives every graph
+    such a labeling, so the extremum over these labelings is the extremum
+    over all graphs.
+
+    Each labeling gets a proven bound on sign * s (sign = 1 for MAX, -1
+    for MIN_CONNECTED) from its edge count m and degrees d alone
+    (_sum_bounds). With l = sqrt(sum d^2 / n), lambda1 >= l (Hofmeister,
+    Math. Nachr. 139, 1988).
+    - MAX: tr A = 0 and tr A^2 = 2m, so Cauchy-Schwarz on lambda3..lambdan,
+      which sum to -s, gives s^2 <= (n - 2)(2m - lambda1^2 - lambda2^2).
+      With lambda1 >= max(l, s/2), s is at most the largest root of the
+      resulting quadratic: sqrt(4m(n - 2)/n) when sum d^2 <= m(n - 2),
+      else ((n - 2) l + sqrt((n - 2)(2(n - 1)m - sum d^2)))/(n - 1).
+    - MIN_CONNECTED: s >= l + lambda2. Interlacing on two non-adjacent
+      vertices gives lambda2 >= 0 unless G is complete, where lambda2 = -1.
+    The labelings are eigensolved in decreasing order of the bound, in
+    stacks of at most SEARCH_BATCH, until the next bound plus BOUND_SLACK
+    is below the best float sign * s found: no later labeling can reach it.
+    Ties go to the first such mask in increasing order whose float s is
+    largest (smallest when minimizing), as in a scan of every labeling.
     """
     if not (2 <= n <= 8):
         raise ValueError("exhaustive search supports 2 <= n <= 8")
     if mode not in (MAX, MIN_CONNECTED):
         raise ValueError(f"unknown mode {mode!r}")
     sign = 1.0 if mode == MAX else -1.0
+    masks = np.concatenate(list(_degree_ordered_stacks(n)))
+    bound = _sum_bounds(n, masks, mode)
+    order = np.argsort(-bound)
+    masks, bound = masks[order], bound[order]
     best_val, best_mask = -np.inf, -1
-    for masks in _degree_ordered_stacks(n):
-        A = _adjacency_stack(n, masks)
+    for start in range(0, masks.size, SEARCH_BATCH):
+        if bound[start] + BOUND_SLACK < best_val:
+            break
+        stack = masks[start:start + SEARCH_BATCH]
+        A = _adjacency_stack(n, stack)
         if mode == MIN_CONNECTED:
             keep = _connected_stack(A)
-            masks, A = masks[keep], A[keep]
-        if masks.size == 0:
+            stack, A = stack[keep], A[keep]
+        if stack.size == 0:
             continue
         w = np.linalg.eigvalsh(A)
         sums = sign * (w[:, -1] + w[:, -2])
-        # argmax keeps the first of equal values; stacks fold in mask order
-        i = int(np.argmax(sums))
-        if sums[i] > best_val:
-            best_val, best_mask = float(sums[i]), int(masks[i])
+        top = sums.max()
+        mask = int(stack[sums == top].min())
+        if top > best_val or (top == best_val and mask < best_mask):
+            best_val, best_mask = float(top), mask
     if best_mask < 0:
         raise ValueError("no graph satisfied the filter")
     return mask_to_graph(n, best_mask), sign * best_val

@@ -232,7 +232,7 @@ class TestSearchExtremal:
         adjacency_stack, degree_steps = graphs._adjacency_stack, graphs._degree_steps
 
         def counted_stack(n, masks):
-            rows.append(masks.size)
+            rows.append(masks)
             return adjacency_stack(n, masks)
 
         def counted_steps(masks, inc):
@@ -241,11 +241,17 @@ class TestSearchExtremal:
             return out
 
         monkeypatch.setattr(graphs, "_adjacency_stack", counted_stack)
-        for mode in (graphs.MAX, graphs.MIN_CONNECTED):
+        stream = degree_ordered_stream(7)
+        for mode, sign in ((graphs.MAX, 1.0), (graphs.MIN_CONNECTED, -1.0)):
             rows.clear()
-            graphs.search_extremal(7, mode)
-            assert max(rows) <= graphs.SEARCH_BATCH
-            assert sum(rows) == 16758 and len(rows) == 5
+            _, val = graphs.search_extremal(7, mode)
+            assert max(r.size for r in rows) <= graphs.SEARCH_BATCH
+            # the bound prunes most labelings, and never one it cannot rule out
+            built = np.concatenate(rows)
+            assert built.size < stream.size // 4, mode
+            bound = graphs._sum_bounds(7, stream, mode)
+            reach = stream[bound + graphs.BOUND_SLACK >= sign * val]
+            assert np.all(np.isin(reach, built)), mode
         monkeypatch.setattr(graphs, "_degree_steps", counted_steps)
         for n in range(2, 9):
             # the low-half table, then the thresholds of the first chunk of
@@ -272,6 +278,16 @@ class TestSearchExtremal:
         degs = sorted((int(d) for d in G.adjacency().sum(axis=1)), reverse=True)
         assert abs(val - math.sqrt(6)) < 1e-12
         assert degs == [6, 1, 1, 1, 1, 1, 1]
+
+    def test_n8_max_is_k822_and_min_connected_is_star(self):
+        G, val = graphs.search_extremal(8, graphs.MAX)
+        assert abs(val - 7.12310562561766) < 1e-12
+        assert sorted(G.adjacency().sum(axis=1), reverse=True) == [7] * 4 + [5] * 4
+        want = np.linalg.eigvalsh(graphs.knpq(8, 2, 2).adjacency())
+        assert np.allclose(np.linalg.eigvalsh(G.adjacency()), want, rtol=0, atol=1e-12)
+        G, val = graphs.search_extremal(8, graphs.MIN_CONNECTED)
+        assert abs(val - math.sqrt(7)) < 1e-12
+        assert sorted(G.adjacency().sum(axis=1), reverse=True) == [7] + [1] * 7
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(5, 8))
@@ -303,6 +319,38 @@ class TestSearchExtremal:
             graphs.search_extremal(9, graphs.MAX)
         with pytest.raises(ValueError):
             graphs.search_extremal(4, "BOGUS")
+
+
+class TestSumBounds:
+    """_sum_bounds against eigvalsh: the MAX bound is at least
+    lambda1 + lambda2, and the MIN_CONNECTED bound, on its negation, at
+    most it, on every loop-free graph."""
+
+    @staticmethod
+    def assert_bounds_hold(G):
+        pairs = itertools.combinations(range(1, G.n + 1), 2)
+        mask = np.array([sum(1 << b for b, e in enumerate(pairs) if e in G.edges)])
+        w = np.linalg.eigvalsh(G.adjacency())
+        s = w[-1] + w[-2]
+        upper = graphs._sum_bounds(G.n, mask, graphs.MAX)[0]
+        lower = -graphs._sum_bounds(G.n, mask, graphs.MIN_CONNECTED)[0]
+        assert lower - graphs.BOUND_SLACK <= s <= upper + graphs.BOUND_SLACK, G
+
+    def test_named_graphs(self):
+        # the complete graph, the star and the n = 2 graphs meet a bound
+        for n in range(2, 10):
+            named = [complete_graph(n), graphs.graph(n), path(n),
+                     graphs.graph(n, [(1, v) for v in range(2, n + 1)])]
+            named += [graphs.knpq(n, p, q) for p in range(n + 1)
+                      for q in range(min(p, n - p) + 1)]
+            for G in named:
+                self.assert_bounds_hold(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+    def test_random_graphs(self, n_mask):
+        self.assert_bounds_hold(graphs.mask_to_graph(*n_mask))
 
 
 class TestSearchScript:
