@@ -2,21 +2,25 @@
 
 Run:  python scripts/certify_h6.py [BASE] [--bound c] [--max-den D] [--out F]
 
-Pipeline: one Douglas-Rachford solve of the affine/PSD feasibility problem
+Pipeline: a Douglas-Rachford solve of the affine/PSD feasibility problem
 for the degree-1 matrix-SOS identity
 
     c*I - psi(M*(x)) = V(x)^T Q V(x) + (1 - ||x||^2) T,
 
-then, whatever the solver's status, one walk up a denominator ladder
-(7 * 2^j and 21 * 2^j below --max-den, then --max-den, the largest
-denominator tried): continued-fraction rounding of the free parameters,
-exact reconstruction of the dependent blocks, and an exact LDL^T check that
-Q is positive semidefinite. The first rung that passes is checked once more
+stopped at PSD residual certify.ROUND_TOL = 1e-6, then, whatever the
+solver's status, one walk up a denominator ladder (7 * 2^j and 21 * 2^j
+below --max-den, then --max-den, the largest denominator tried):
+continued-fraction rounding of the free parameters, exact reconstruction of
+the dependent blocks, and an exact LDL^T check that Q is positive
+semidefinite. If no rung passes and that solve stopped between
+certify.TOL = 1e-9 and ROUND_TOL, the solve is run again to TOL and the
+ladder walked once more. The first rung that passes is checked once more
 for the coefficient identity, exactly as `ssc verify` checks it.
-H6 is the full-scale case (Q is 105x105); at 8/7 the solver converges in 133
-iterations and the certificate lands on denominator 28 in about 0.06 s of CPU
-time (Python 3.11, numpy 2.4, one BLAS thread, 2-core VM).  The resulting file is
-self-contained and re-checkable with `ssc verify`.
+H6 is the full-scale case (Q is 105x105); at 8/7 the solver reaches
+ROUND_TOL in 88 iterations and the certificate lands on denominator 28 in
+about 0.02 s of CPU time (Python 3.11, numpy 2.4, one BLAS thread, 2-core
+VM). The resulting file is self-contained and re-checkable with
+`ssc verify`.
 """
 
 import argparse

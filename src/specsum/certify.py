@@ -77,7 +77,7 @@ class BlockLayout:
 
     rows: np.ndarray
     cols: np.ndarray
-    stacks: tuple  # (size, start, count): flat[start:start+count*size^2] holds count blocks
+    stacks: tuple  # (size, start, stop, count): flat[start:stop] holds count blocks
     tr: np.ndarray  # entry of the transpose
     diag: np.ndarray  # (k+1, m): entry ((a,r), (a,r)); no other entry of Q_aa is in a block
     off: np.ndarray  # entries in Q_ab, a != b (both >= 1: Q_0i is off the blocks)
@@ -85,7 +85,7 @@ class BlockLayout:
     swap: np.ndarray  # for each of off: the entry (a,s),(b,r) paired with up
     F_up: np.ndarray  # F_ab[r, s] at up
     R_diag: np.ndarray  # (k, m): diagonals of R_i
-    skew: tuple  # (t, u, t2, u2): the up entries with r < s and their pairs, as ints
+    skew: np.ndarray  # (4, n) rows t, u, t2, u2: the up entries with r < s and their pairs
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray,
     cols = np.concatenate([np.tile(B, (1, s)).ravel() for s, B in blocks.items()])
     stacks, start = [], 0
     for s, B in blocks.items():
-        stacks.append((s, start, len(B)))
-        start += len(B) * s * s
+        stacks.append((s, start, start + len(B) * s * s, len(B)))
+        start = stacks[-1][2]
     pos = np.full((dim, dim), -1, dtype=np.intp)
     pos[rows, cols] = np.arange(rows.size)
     a_r, a_c, r, s = rows // m, cols // m, rows % m, cols % m
@@ -141,8 +141,7 @@ def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray,
     if (swap < 0).any() or fixed[pos < 0].any():
         raise ArithmeticError("coefficient equations couple different sign blocks")
     ups = np.flatnonzero((a_r < a_c) & (r < s))
-    skew = tuple(zip(rows[ups].tolist(), cols[ups].tolist(),
-                     (a_r[ups] * m + s[ups]).tolist(), (a_c[ups] * m + r[ups]).tolist()))
+    skew = np.stack([rows[ups], cols[ups], a_r[ups] * m + s[ups], a_c[ups] * m + r[ups]])
     idx = np.arange(dim).reshape(k + 1, m)
     return BlockLayout(rows=rows, cols=cols, stacks=tuple(stacks), tr=pos[cols, rows],
                        diag=pos[idx, idx], off=off, up=up, swap=swap,
@@ -217,25 +216,29 @@ def affine_residual(p: SosProblem, v: np.ndarray) -> float:
                float(np.abs(v[L.up] + v[L.tr[L.swap]] - 2 * L.F_up).max(initial=0.0)))
 
 
-def _stacks(L: BlockLayout, v: np.ndarray):
-    """(start, stop, blocks of v as a (count, size, size) view), per size."""
-    for s, start, count in L.stacks:
-        stop = start + count * s * s
-        yield start, stop, v[start:stop].reshape(count, s, s)
-
-
 def _clip_psd(L: BlockLayout, v: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix block by block: one stacked eigh per block size."""
+    """Nearest PSD matrix block by block: one stacked eigh per block size.
+    A 1x1 block is its own eigenvalue, and np.maximum(x, 0.0) is bit for
+    bit what the eigh route makes of it (0.0 for -0.0 too)."""
     out = np.empty_like(v)
-    for start, stop, X in _stacks(L, v):
-        w, V = np.linalg.eigh(X)
+    for s, start, stop, count in L.stacks:
+        if s == 1:
+            np.maximum(v[start:stop], 0.0, out=out[start:stop])
+            continue
+        w, V = np.linalg.eigh(v[start:stop].reshape(count, s, s))
         P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
         out[start:stop] = ((P + P.transpose(0, 2, 1)) / 2).ravel()
     return out
 
 
 def _min_eigenvalue(L: BlockLayout, v: np.ndarray) -> float:
-    return min(float(np.linalg.eigvalsh(X)[:, 0].min()) for _, _, X in _stacks(L, v))
+    """Least eigenvalue over the blocks; the 1x1 blocks' are their entries."""
+    least = np.inf
+    for s, start, stop, count in L.stacks:
+        X = v[start:stop]
+        w = X if s == 1 else np.linalg.eigvalsh(X.reshape(count, s, s))[:, 0]
+        least = min(least, float(w.min()))
+    return least
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,13 @@ class SolveResult:
     psd_residual: float
 
 
-#: the solver's tolerance on both residuals (it stops on the PSD one)
+#: the solver's default tolerance on both residuals (it stops on the PSD one)
 TOL = 1e-9
+#: the PSD residual at which certify first rounds (see certify)
+ROUND_TOL = 1e-6
 
 
-def sdp_solve(p: SosProblem, max_iter: int = 50000) -> SolveResult:
+def sdp_solve(p: SosProblem, max_iter: int = 50000, tol: float = TOL) -> SolveResult:
     """Projection splitting between the coefficient equations and the PSD
     cone, in the reflect-reflect-average (Douglas-Rachford / ADMM) form:
 
@@ -263,11 +268,12 @@ def sdp_solve(p: SosProblem, max_iter: int = 50000) -> SolveResult:
     the sign blocks (module docstring), and both projections are closed
     forms there: coordinate averaging for the affine set, eigen-clip at 0
     block by block for the cone. Stops when the affine shadow Qa has no
-    block eigenvalue below -TOL. Its affine max-norm violation is one
+    block eigenvalue below -tol. Its affine max-norm violation is one
     rounding (_project_affine writes each entry and its mirror from one
     expression), so it is measured once, on the returned Qa, where
-    CONVERGED needs it <= TOL too. Qa is returned as a dense matrix,
-    exactly 0 off the blocks. Deterministic: starts from Q = 0.
+    CONVERGED needs it <= tol too. Qa is returned as a dense matrix,
+    exactly 0 off the blocks. Deterministic: starts from Q = 0, so a run
+    to a smaller tol repeats a larger tol's iterations and goes on.
     """
     L = p.layout
     v = np.zeros(L.rows.size)
@@ -276,12 +282,12 @@ def sdp_solve(p: SosProblem, max_iter: int = 50000) -> SolveResult:
     for n in range(1, max_iter + 1):
         va = _project_affine(p, v)
         psd = max(0.0, -_min_eigenvalue(L, va))
-        if psd <= TOL:
+        if psd <= tol:
             it = n
             break
         v = v + (_clip_psd(L, 2 * va - v) - va)
     aff = affine_residual(p, va)
-    status = "CONVERGED" if psd <= TOL and aff <= TOL else "NOT_FOUND"
+    status = "CONVERGED" if psd <= tol and aff <= tol else "NOT_FOUND"
     Q = np.zeros((p.dim, p.dim))
     Q[L.rows, L.cols] = va
     return SolveResult(status, Q, it, aff, psd)
@@ -297,28 +303,33 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int) -> Certificate:
 
     Only block entries are touched; every other entry, all of Q_0i among
     them, is exactly 0. Free: the diagonal of Q_00, and the skew parts of
-    Q_ij (i < j), rounded on (r, s) with r < s and negated on (s, r). Dependent:
+    Q_ij (i < j), rounded on (r, s) with r < s and negated on (s, r); they
+    are read from Q_num through the layout's index arrays, with the float
+    operations of (Q_num + Q_num^T)/2. Dependent:
     Q_ii = R_i - Q_00, sym(Q_ij) = F_ij, T = c*I - Q_00. The output
     therefore satisfies the polynomial identity over Q regardless of
     rounding quality; only PSD can fail.
     """
     k, m = p.k, p.m
     Qn = np.asarray(Q_num, dtype=float)
-    Qs = ((Qn + Qn.T) / 2).tolist()
+    d = Qn.diagonal()[:m]
+    a, b, a2, b2 = p.layout.skew
+    skew = ((Qn[a, b] + Qn[b, a]) / 2 - (Qn[a2, b2] + Qn[b2, a2]) / 2) / 2
 
     def approx(x) -> Fraction:
-        return exactq.rational_approx(float(x), max_den)
+        return exactq.rational_approx(x, max_den)
 
     Q = [[_ZERO] * p.dim for _ in range(p.dim)]
     T = [[_ZERO] * m for _ in range(m)]
-    for r in range(m):
-        q = Q[r][r] = approx(Qs[r][r])
+    for r, x in enumerate(((d + d) / 2).tolist()):
+        q = Q[r][r] = approx(x)
         T[r][r] = p.c - q
         for i in range(1, k + 1):
             t = i * m + r
             Q[t][t] = p.R[i - 1][r][r] - q
-    for t, u, t2, u2 in p.layout.skew:  # (i,r),(j,s) and (i,s),(j,r); i < j, r < s
-        v = approx((Qs[t][u] - Qs[t2][u2]) / 2)
+    # (i,r),(j,s) and (i,s),(j,r); i < j, r < s
+    for t, u, t2, u2, x in zip(*p.layout.skew.tolist(), skew.tolist()):
+        v = approx(x)
         Fm = p.F[(t // m, u // m)]
         r, s = t % m, u % m
         Q[t][u] = Q[u][t] = Fm[r][s] + v
@@ -354,7 +365,7 @@ class CertifyResult:
     status: str  # FOUND | NOT_FOUND
     certificate: Certificate | None
     solve: SolveResult
-    attempts: tuple  # (max_den, verdict) pairs in order
+    attempts: tuple  # (max_den, verdict) pairs in order: PSD, NOT_PSD or OVER_BUDGET
     stage: str = ""  # failing stage when NOT_FOUND
 
 
@@ -377,17 +388,47 @@ def _denominator_ladder(max_den: int) -> list[int]:
 MAX_BOUND = 2 ** 512
 
 
+#: a rung's verdict in CertifyResult.attempts when its Q is over the exact
+#: PSD check's work budget (exactq.MAX_WORK)
+OVER_BUDGET = "OVER_BUDGET"
+
+
+def _walk(p: SosProblem, Q_num: np.ndarray, max_den: int, attempts: list) -> Certificate | None:
+    """The first rung of the ladder whose Q is PSD, or None; each rung's
+    (max_den, verdict) is appended to attempts."""
+    for d in _denominator_ladder(max_den):
+        cert = rationalize(p, Q_num, max_den=d)
+        try:
+            verdict = verify_psd(cert).verdict
+        except exactq.OverBudget:
+            verdict = OVER_BUDGET
+        attempts.append((d, verdict))
+        if verdict == exactq.PSD:
+            return cert
+    return None
+
+
 def certify(cand: CandidateGraph, c, *, max_iter: int = 50000,
             max_den: int = 10 ** 4) -> CertifyResult:
     """assemble -> sdp_solve -> rationalize -> verify.
 
-    One solve, then one walk up the denominator ladder from the solver's
-    point, whatever its status; the first rung whose Q is PSD is accepted.
+    The ladder's rungs up to about 700 need the point only to about
+    1/(2 d^2) >= ROUND_TOL (_denominator_ladder), so the first solve stops
+    at PSD residual ROUND_TOL, and the ladder is walked from its point,
+    whatever its status; the first rung whose Q is PSD is accepted. Only if
+    no rung passes and that solve stopped with TOL < psd_residual <=
+    ROUND_TOL is the solve run again from zero to TOL and the ladder walked
+    once more from its point. A solve that hit max_iter, or already reached
+    TOL, gets one walk. The result's solve is the one whose point was
+    rounded last; attempts lists every rung of both walks in order. A rung
+    whose Q is over the exact PSD check's work budget is recorded as
+    OVER_BUDGET and the walk goes on.
+
     Each rung is checked for PSD only: reconstruction makes every rung
     satisfy the identity, so that is checked once, on the accepted rung, by
     the call `ssc verify` makes, and a violation raises ArithmeticError.
     The returned certificate always passes both exact checks. On NOT_FOUND
-    the failing stage is sdp_solve if the solve did not converge, else
+    the failing stage is sdp_solve if the last solve did not converge, else
     verify_psd. max_den is the largest denominator tried. A max_den or
     max_iter below 1, or a bound beyond MAX_BOUND in absolute value, raises
     ValueError before any work.
@@ -399,16 +440,16 @@ def certify(cand: CandidateGraph, c, *, max_iter: int = 50000,
     if abs(Fraction(c)) > MAX_BOUND:
         raise ValueError("bound must be at most 2^512 in absolute value")
     p = assemble(cand, c)
-    solve = sdp_solve(p, max_iter=max_iter)
-    attempts = []
-    for d in _denominator_ladder(max_den):
-        cert = rationalize(p, solve.Q, max_den=d)
-        wit = verify_psd(cert)
-        attempts.append((d, wit.verdict))
-        if wit.verdict == exactq.PSD:
-            idr = verify_identity(cert)
-            if not idr.ok:  # reconstruction guarantees this; treat as fatal
-                raise ArithmeticError(f"reconstructed certificate broke identity: {idr.violations[:1]}")
-            return CertifyResult("FOUND", cert, solve, tuple(attempts))
-    stage = "sdp_solve" if solve.status != "CONVERGED" else "verify_psd"
-    return CertifyResult("NOT_FOUND", None, solve, tuple(attempts), stage=stage)
+    attempts: list = []
+    solve = sdp_solve(p, max_iter=max_iter, tol=ROUND_TOL)
+    cert = _walk(p, solve.Q, max_den, attempts)
+    if cert is None and TOL < solve.psd_residual <= ROUND_TOL:
+        solve = sdp_solve(p, max_iter=max_iter)
+        cert = _walk(p, solve.Q, max_den, attempts)
+    if cert is None:
+        stage = "sdp_solve" if solve.status != "CONVERGED" else "verify_psd"
+        return CertifyResult("NOT_FOUND", None, solve, tuple(attempts), stage=stage)
+    idr = verify_identity(cert)
+    if not idr.ok:  # reconstruction guarantees this; treat as fatal
+        raise ArithmeticError(f"reconstructed certificate broke identity: {idr.violations[:1]}")
+    return CertifyResult("FOUND", cert, solve, tuple(attempts))

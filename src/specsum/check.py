@@ -234,8 +234,8 @@ def verify_psd(cert: Certificate) -> exactq.PsdWitness:
     """Exact PSD check of Q by fraction-free integer LDL^T, one connected
     component at a time, with the decomposition re-multiplied in integers
     (`exactq.ldl_psd_check`). A component over the work budget
-    `exactq.MAX_WORK` raises ValueError, which `ssc verify` reports with
-    exit 2."""
+    `exactq.MAX_WORK` raises exactq.OverBudget, a ValueError, which `ssc
+    verify` reports with exit 2 and certify records as an OVER_BUDGET rung."""
     return exactq.ldl_psd_check(cert.Q)
 
 

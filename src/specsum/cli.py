@@ -4,8 +4,9 @@ Commands: spectrum, search, optimize, certify, verify, compound. Output is
 machine-parseable `key: value` lines (append --human for formatted tables).
 Every command is deterministic: only `optimize` draws random numbers, from
 --seed (default: env SSC_SEED, else 0). Exit codes: 0 success/PASS,
-1 FAIL/NOT_FOUND, 2 usage/parse error or a Q over the exact PSD check's
-work budget (`exactq.MAX_WORK`).
+1 FAIL/NOT_FOUND, 2 usage/parse error or, for `verify`, a Q over the
+exact PSD check's work budget (`exactq.MAX_WORK`); `certify` records such
+a rung as OVER_BUDGET and goes on up the ladder.
 
 The parser needs only `check`'s base table, and each command imports the
 modules it uses, so `ssc verify` and `ssc compound` run without loading

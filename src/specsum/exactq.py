@@ -142,7 +142,7 @@ def _scaled(nz: list[dict[int, Fraction]], comp: list[int]) -> tuple[int, list[l
     """(L, B): the principal submatrix of Q on comp as the integer matrix
     B = L * Q[comp, comp], with L the lcm of its denominators.
 
-    Raises ValueError when len(comp) times the bit length of max |B| is
+    Raises OverBudget when len(comp) times the bit length of max |B| is
     above MAX_WORK. Every nonzero |B_ij| is at least L over its own
     denominator, so max |B| >= L / (least denominator): the lcm is refused
     as soon as that lower bound is over budget, before unrelated
@@ -169,8 +169,12 @@ def _scaled(nz: list[dict[int, Fraction]], comp: list[int]) -> tuple[int, list[l
     return L, B
 
 
-def _over_budget(n: int) -> ValueError:
-    return ValueError(f"PSD check refused: a component of {n} coordinates is over the work "
+class OverBudget(ValueError):
+    """ldl_psd_check refuses a component over the work budget MAX_WORK."""
+
+
+def _over_budget(n: int) -> OverBudget:
+    return OverBudget(f"PSD check refused: a component of {n} coordinates is over the work "
                       f"budget (its size times the bit length of its largest entry over a "
                       f"common denominator is above {MAX_WORK})")
 
@@ -285,8 +289,9 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     as the witness is zero off the component.
 
     Every component is scaled, and held to the work budget MAX_WORK, before
-    any is eliminated; one over budget raises ValueError. Converting Q and
-    splitting it into components touch only nonzero entries.
+    any is eliminated; one over budget raises OverBudget, a ValueError.
+    Converting Q and splitting it into components touch only nonzero
+    entries.
     """
     nz = _nonzeros(Q_in)
     n = len(nz)

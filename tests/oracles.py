@@ -681,3 +681,71 @@ def dense_verify_identity(cert, p):
                 if got != want:
                     bad.append((f"x_{i}*x_{j}", r, s, got, want))
     return not bad, tuple(bad), checked
+
+
+def dense_rationalize(p, Q_num, max_den: int):
+    """certify.rationalize by the dense route: symmetrize the whole of Q_num
+    as (Q + Q^T)/2, then round the diagonal of Q_00 and, for every i < j
+    and r < s whose coordinates (i, r) and (j, s) share a sign block, the
+    skew part of Q_ij at (r, s); every dependent entry follows exactly."""
+    from specsum.check import Certificate
+    from specsum.exactq import rational_approx
+
+    k, m = p.k, p.m
+    Qn = np.asarray(Q_num, dtype=float)
+    Qs = ((Qn + Qn.T) / 2).tolist()
+    block_of = {t: tuple(row) for B in p.blocks.values() for row in B.tolist() for t in row}
+    Q = [[Fraction(0)] * p.dim for _ in range(p.dim)]
+    T = [[Fraction(0)] * m for _ in range(m)]
+    for r in range(m):
+        q = Q[r][r] = rational_approx(Qs[r][r], max_den)
+        T[r][r] = p.c - q
+        for i in range(1, k + 1):
+            Q[i * m + r][i * m + r] = p.R[i - 1][r][r] - q
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        F = p.F[(i, j)]
+        for r, s in itertools.combinations(range(m), 2):
+            t, u, t2, u2 = i * m + r, j * m + s, i * m + s, j * m + r
+            if block_of[t] != block_of[u]:
+                continue
+            v = rational_approx((Qs[t][u] - Qs[t2][u2]) / 2, max_den)
+            Q[t][u] = Q[u][t] = F[r][s] + v
+            Q[t2][u2] = Q[u2][t2] = F[s][r] - v
+    return Certificate(candidate=p.candidate.name, c=p.c, k=k, m=m,
+                       Q=tuple(map(tuple, Q)), T=tuple(map(tuple, T)))
+
+
+def one_pass_certify(cand, c, max_iter: int = 50000, max_den: int = 10 ** 4):
+    """certify as one solve to certify.TOL and one walk up the denominator
+    ladder from its point, rounded by dense_rationalize: the flow before
+    certify first rounded at ROUND_TOL. Returns a certify.CertifyResult."""
+    from specsum import certify as ct
+    from specsum.exactq import PSD
+
+    p = ct.assemble(cand, c)
+    solve = ct.sdp_solve(p, max_iter=max_iter)
+    attempts = []
+    for d in ct._denominator_ladder(max_den):
+        cert = dense_rationalize(p, solve.Q, d)
+        attempts.append((d, ct.verify_psd(cert).verdict))
+        if attempts[-1][1] == PSD:
+            return ct.CertifyResult("FOUND", cert, solve, tuple(attempts))
+    stage = "sdp_solve" if solve.status != "CONVERGED" else "verify_psd"
+    return ct.CertifyResult("NOT_FOUND", None, solve, tuple(attempts), stage=stage)
+
+
+def eigh_clip_psd(L, v: np.ndarray) -> np.ndarray:
+    """certify._clip_psd with every block, 1x1 ones included, clipped
+    through a stacked eigh."""
+    out = np.empty_like(v)
+    for s, start, stop, count in L.stacks:
+        w, V = np.linalg.eigh(v[start:stop].reshape(count, s, s))
+        P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
+        out[start:stop] = ((P + P.transpose(0, 2, 1)) / 2).ravel()
+    return out
+
+
+def eigvalsh_min(L, v: np.ndarray) -> float:
+    """certify._min_eigenvalue with every block through a stacked eigvalsh."""
+    return min(float(np.linalg.eigvalsh(v[start:stop].reshape(count, s, s))[:, 0].min())
+               for s, start, stop, count in L.stacks)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from specsum import certify as ct
 from specsum import check, cli, exactq, graphs, stepmodel
-from oracles import (additive_compound_pairs, dense_verify_identity, fraction_ldl_psd_check,
-                     hostile_certificate, spot_check_loop, work_score)
+from oracles import (additive_compound_pairs, dense_rationalize, dense_verify_identity,
+                     eigh_clip_psd, eigvalsh_min, fraction_ldl_psd_check, hostile_certificate,
+                     one_pass_certify, spot_check_loop, work_score)
 
 C87 = Fraction(8, 7)
 
@@ -34,6 +35,20 @@ RUNGS = {("P3", C87): (7, 14), ("P4", C87): (7, 14, 21, 28, 42),
          ("H5", Fraction(6, 5)): (7,), ("H5", Fraction(23, 20)): (7, 14),
          ("H6", Fraction(23, 20)): (7, 14, 21, 28),
          ("H6", Fraction(6, 5)): (7, 14, 21, 28, 42)}
+# the iterations of certify's solve at 8/7, which stops at ROUND_TOL
+ITERATIONS = {"P3": 61, "P4": 71, "H5": 83, "H6": 88}
+# a looped base on 4 vertices (edges 12 13 14 23 24, loops on 1, 3, 4)
+# whose point at ROUND_TOL rounds on no rung at 8/7: certify solves again to TOL
+FALLBACK = (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 1), (3, 3), (4, 4)))
+# a bound below MAX_BOUND whose H6 certificate is over exactq.MAX_WORK on every rung
+OVER_BUDGET_BOUND = Fraction(2 ** 500 * 10 ** 100 + 1, 10 ** 100)
+
+
+def same_solve(a, b) -> bool:
+    """Two SolveResults agree field by field, Q bit for bit."""
+    return (a.status, a.iterations, a.affine_residual, a.psd_residual) == \
+        (b.status, b.iterations, b.affine_residual, b.psd_residual) and \
+        a.Q.tobytes() == b.Q.tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,6 +225,29 @@ class TestSignBlocks:
             assert ct.affine_residual(p, w) >= 1e-3 - 1e-12
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["P3", "H6"]), seed=st.integers(0, 2 ** 32 - 1),
+           ones=st.lists(st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                         min_size=15, max_size=15))
+    def test_one_by_one_blocks_match_eigh_bit_for_bit(self, name, seed, ones):
+        # the 1x1 blocks (drawn; the larger ones random normal) are clipped by
+        # np.maximum and read off for the least eigenvalue; the eigh route
+        # gives the same bits, -0.0 -> 0.0 among them. Magnitudes stay far
+        # from overflow, where the eigh route's (P + P^T)/2 would differ
+        L = problem(name, C87).layout
+        s, start, stop, count = L.stacks[0]
+        assert s == 1
+        v = np.random.default_rng(seed).standard_normal(L.rows.size)
+        v[start:stop] = ones[:count]
+        assert ct._clip_psd(L, v).tobytes() == eigh_clip_psd(L, v).tobytes()
+        assert np.float64(ct._min_eigenvalue(L, v)).tobytes() == \
+            np.float64(eigvalsh_min(L, v)).tobytes()
+        for s, start, stop, count in L.stacks[1:]:  # the least eigenvalue in a 1x1 block
+            v[start:stop] = np.broadcast_to(2e100 * np.eye(s), (count, s, s)).ravel()
+        assert np.float64(ct._min_eigenvalue(L, v)).tobytes() == \
+            np.float64(eigvalsh_min(L, v)).tobytes()
+
+
 class TestSdpSolve:
     def test_trivial_base_immediate(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
@@ -243,6 +281,13 @@ class TestSdpSolve:
         r = ct.sdp_solve(p3_problem)
         assert (r.status, r.iterations, r.affine_residual) == ("NOT_FOUND", 97, 2 * ct.TOL)
 
+    @pytest.mark.parametrize("name", list(ITERATIONS))
+    def test_iterations_at_round_tol_pinned(self, name):
+        r = certified(name, C87)
+        assert (r.solve.status, r.solve.iterations) == ("CONVERGED", ITERATIONS[name])
+        assert ct.TOL < r.solve.psd_residual <= ct.ROUND_TOL
+        assert same_solve(r.solve, ct.sdp_solve(problem(name, C87), tol=ct.ROUND_TOL))
+
     def test_infeasible_bound_stalls(self, p3_problem):
         # 9/8 < 8/7 = attained max, so no certificate exists
         p = ct.assemble(ct.cert_base("P3"), Fraction(9, 8))
@@ -273,6 +318,16 @@ class TestRationalize:
         cert = ct.rationalize(p, junk, max_den=97)
         assert cert == ct.rationalize(p, np.where(block_mask(p), junk, 0.0), max_den=97)
         assert ct.verify_identity(cert).ok
+
+    @pytest.mark.parametrize("name", ["P3", "P4", "H5", "H6"])
+    def test_matches_dense_route(self, name):
+        # the free entries read through the layout's index arrays round to
+        # the certificate that symmetrizing all of Q_num gives
+        p = problem(name, C87)
+        junk = np.random.default_rng(2).standard_normal((p.dim, p.dim))
+        for Qn in (junk, ladder_point(name, C87)):
+            for d in (7, 97, 10 ** 4):
+                assert ct.rationalize(p, Qn, max_den=d) == dense_rationalize(p, Qn, d)
 
     def test_trivial_base_exact(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
@@ -468,7 +523,8 @@ class TestCertify:
             [7 << j for j in range(11)] + [21 << j for j in range(9)] + [10 ** 4])
 
     def test_infeasible_bound_solves_once(self, monkeypatch):
-        # no second solve at a tighter tolerance: one solve, then one ladder
+        # a solve that hits max_iter is not run again to TOL: one solve, then
+        # one ladder
         calls = []
         real = ct.sdp_solve
 
@@ -481,6 +537,71 @@ class TestCertify:
         assert len(calls) == 1
         assert (r.status, r.stage, r.solve.status) == ("NOT_FOUND", "sdp_solve", "NOT_FOUND")
         assert r.attempts == tuple((d, exactq.NOT_PSD) for d in ct._denominator_ladder(10 ** 4))
+
+    @staticmethod
+    def recording_solves(monkeypatch):
+        """(tol, iterations) of every sdp_solve call certify makes."""
+        calls = []
+        real = ct.sdp_solve
+
+        def recording(p, max_iter=50000, tol=ct.TOL):
+            r = real(p, max_iter=max_iter, tol=tol)
+            calls.append((tol, r.iterations))
+            return r
+
+        monkeypatch.setattr(ct, "sdp_solve", recording)
+        return calls
+
+    @pytest.mark.parametrize("name,c", list(RUNGS))
+    def test_pinned_calls_solve_once_at_round_tol(self, monkeypatch, name, c):
+        calls = self.recording_solves(monkeypatch)
+        ct.certify(ct.cert_base(name), c)
+        assert [tol for tol, _ in calls] == [ct.ROUND_TOL]
+
+    def test_early_point_failing_every_rung_falls_back_to_tol(self, monkeypatch):
+        # the early walk fails on all 21 rungs; the solve to TOL from zero
+        # is the one-pass run, which rounds on rung 14
+        monkeypatch.setitem(check.BASES, "F4", FALLBACK)
+        cand = ct.cert_base("F4")
+        want = one_pass_certify(cand, C87)
+        calls = self.recording_solves(monkeypatch)
+        r = ct.certify(cand, C87)
+        ladder = ct._denominator_ladder(10 ** 4)
+        assert calls == [(ct.ROUND_TOL, 148), (ct.TOL, 12432)]
+        assert (r.status, want.status) == ("FOUND", "FOUND")
+        assert ct.format_certificate(r.certificate) == ct.format_certificate(want.certificate)
+        assert same_solve(r.solve, want.solve) and r.solve.iterations == 12432
+        assert want.attempts == ((7, exactq.NOT_PSD), (14, exactq.PSD))
+        assert r.attempts == tuple((d, exactq.NOT_PSD) for d in ladder) + want.attempts
+
+    def test_over_budget_rung_is_recorded_and_the_walk_goes_on(self, monkeypatch):
+        # P3's rung 7 refused by the budget: rung 14 passes as before
+        real = ct.verify_psd
+        calls = []
+
+        def refusing_first(cert):
+            calls.append(cert)
+            if len(calls) == 1:
+                raise exactq.OverBudget("PSD check refused")
+            return real(cert)
+
+        monkeypatch.setattr(ct, "verify_psd", refusing_first)
+        r = ct.certify(ct.cert_base("P3"), C87)
+        assert r.status == "FOUND" and r.attempts == ((7, ct.OVER_BUDGET), (14, exactq.PSD))
+        assert r.certificate == certified("P3", C87).certificate
+
+    def test_other_psd_check_errors_propagate(self, monkeypatch):
+        def broken(cert):
+            raise ValueError("matrix is not symmetric at (0,1)")
+
+        monkeypatch.setattr(ct, "verify_psd", broken)
+        with pytest.raises(ValueError, match="not symmetric"):
+            ct.certify(ct.cert_base("P3"), C87)
+
+    def test_over_budget_on_every_rung_is_not_found(self):
+        r = ct.certify(ct.cert_base("H6"), OVER_BUDGET_BOUND)
+        assert (r.status, r.stage, r.solve.status) == ("NOT_FOUND", "verify_psd", "CONVERGED")
+        assert r.attempts == tuple((d, ct.OVER_BUDGET) for d in ct._denominator_ladder(10 ** 4))
 
     def test_unconverged_solve_is_still_rounded(self):
         # 60 iterations leave H6 at 8/7 short of tol, yet a rung verifies

@@ -263,6 +263,20 @@ class TestCertifyVerify:
         assert code == 1
         assert kv(out)["status"] == "NOT_FOUND"
 
+    def test_over_budget_on_every_rung_is_not_found(self, capsys, tmp_path):
+        # a bound below certify.MAX_BOUND whose H6 certificate is over the
+        # exact PSD check's work budget on every rung
+        bound = f"{2 ** 500 * 10 ** 100 + 1}/{10 ** 100}"
+        out_file = tmp_path / "h6.txt"
+        code = cli.main(["certify", "H6", f"--bound={bound}", "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        d = kv(out)
+        assert code == 1 and err == ""
+        assert (d["status"], d["sdp_status"], d["failing_stage"]) == \
+            ("NOT_FOUND", "CONVERGED", "verify_psd")
+        assert {a.split(":")[1] for a in d["attempts"].split()} == {"OVER_BUDGET"}
+        assert not out_file.exists()
+
     def test_max_iter_below_one_is_usage_error(self, capsys, tmp_path):
         out_file = tmp_path / "p3.txt"
         code = cli.main(["certify", "P3", "--max-iter", "-5", "--out", str(out_file)])
