@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactq
-from .exactq import _ZERO, QMatrix, _as_fraction
+from .exactq import _ZERO, QMatrix
 
 
 def _looped(k: int, edges) -> tuple:
@@ -89,15 +89,12 @@ def additive_compound(M, k: int) -> QMatrix:
     if N > MAX_COMPOUND_DIM:
         raise ValueError(f"the compound has C({n},{k}) = {N} rows, "
                          f"above the limit {MAX_COMPOUND_DIM}")
-    rows = [[_as_fraction(x) for x in r] for r in M]
-    index = {s: a for a, s in enumerate(itertools.combinations(range(1, n + 1), k))}
+    index = {s: a for a, s in enumerate(itertools.combinations(range(n), k))}
     out: QMatrix = [[_ZERO] * N for _ in range(N)]
-    for x, row in enumerate(rows, 1):
-        for y, v in enumerate(row, 1):
-            if not v:
-                continue
+    for x, row in enumerate(exactq.nonzeros(M)):
+        for y, v in row.items():
             lo, hi = min(x, y), max(x, y)
-            others = [t for t in range(1, n + 1) if t != x and t != y]
+            others = [t for t in range(n) if t != x and t != y]
             for R in itertools.combinations(others, k - 1):
                 a, b = index[tuple(sorted(R + (x,)))], index[tuple(sorted(R + (y,)))]
                 out[a][b] += -v if sum(lo < t < hi for t in R) % 2 else v
@@ -110,11 +107,6 @@ def psi(M) -> QMatrix:
     if len(M) < 2:
         raise ValueError("psi needs dim >= 2")
     return additive_compound(M, 2)
-
-
-def _support(M) -> list:
-    """(row, col) of every nonzero entry of a square matrix, row-major."""
-    return [(r, s) for r, row in enumerate(M) for s in exactq.nonzero_cols(row)]
 
 
 def coefficient_rhs(k: int, edges, c: Fraction, psi=psi) -> dict:
@@ -133,8 +125,8 @@ def coefficient_rhs(k: int, edges, c: Fraction, psi=psi) -> dict:
             return {}
         E = [[_ZERO] * k for _ in range(k)]
         E[i - 1][j - 1] = E[j - 1][i - 1] = Fraction(-1)
-        P = psi(E)
-        return {(r, s): P[r][s] for r, s in _support(P)}
+        return {(r, s): x for r, row in enumerate(exactq.nonzeros(psi(E)))
+                for s, x in row.items()}
 
     rhs = {"1": {(r, r): c for r in range(m)} if c else {}}
     for i in range(1, k + 1):
@@ -188,7 +180,8 @@ def verify_identity(cert: Certificate) -> IdentityReport:
     if len(Q) != dim or any(len(r) != dim for r in Q) or \
             len(T) != m or any(len(r) != m for r in T):
         return IdentityReport(False, (("shape", 0, 0, (len(Q), len(T)), (dim, m)),), 0)
-    q_nz, t_nz = _support(Q), set(_support(T))
+    q_nz = [(r, s) for r, row in enumerate(exactq.nonzeros(Q)) for s in row]
+    t_nz = {(r, s) for r, row in enumerate(exactq.nonzeros(T)) for s in row}
     bad = []
     checked = 0
     for name, M, nz in (("sym(Q)", Q, q_nz), ("sym(T)", T, t_nz)):
@@ -244,21 +237,19 @@ def verify_psd(cert: Certificate) -> exactq.PsdWitness:
 # then dimQ rows of dimQ rationals (Q), then m rows of m rationals (T).
 
 def format_certificate(cert: Certificate) -> str:
-    def row_text(row) -> str:
-        return " ".join([exactq.format_rational(x) if x else "0/1" for x in row])
-
     lines = [f"candidate {cert.candidate}",
              f"bound {exactq.format_rational(cert.c)}",
              f"{cert.k} {cert.m} {len(cert.Q)}"]
-    lines += map(row_text, cert.Q)
-    lines += map(row_text, cert.T)
+    lines += map(exactq.format_row, cert.Q)
+    lines += map(exactq.format_row, cert.T)
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
     """Read the certificate format; any deviation raises ValueError naming
-    the line. Each distinct matrix token is read by exactq.parse_rational
-    once per call, and every zero is the shared exactq._ZERO."""
+    the line. The rows are read by exactq.read_rows: each distinct token
+    of Q (and of T) is parsed once, and every zero is the shared
+    exactq._ZERO."""
     lines = text.splitlines()
     if len(lines) < 3:
         raise ValueError("line 1: truncated certificate")
@@ -280,24 +271,10 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError("line 3: expected integers 'k m dimQ'")
     if dim != (k + 1) * m:
         raise ValueError(f"line 3: dimQ must be (k+1)*m = {(k + 1) * m}, got {dim}")
-    body = [(no, ln) for no, ln in enumerate(lines[3:], start=4) if ln.strip()]
+    # lines 1-3 are not blank, as read above
+    body = exactq.numbered_lines(text)[3:]
     if len(body) != dim + m:
         raise ValueError(f"expected {dim + m} matrix rows, got {len(body)}")
-    values: dict = {}  # token -> value
-
-    def parse_row(ln_no: int, ln: str, width: int):
-        toks = ln.split()
-        if len(toks) != width:
-            raise ValueError(f"line {ln_no}: expected {width} entries, got {len(toks)}")
-        for t in toks:
-            if t not in values:
-                try:
-                    x = exactq.parse_rational(t)
-                except ValueError as e:
-                    raise ValueError(f"line {ln_no}: {e}")
-                values[t] = x if x else _ZERO
-        return tuple(map(values.__getitem__, toks))
-
-    Q = tuple(parse_row(no, ln, dim) for no, ln in body[:dim])
-    T = tuple(parse_row(no, ln, m) for no, ln in body[dim:])
+    Q = tuple(exactq.read_rows(body[:dim], dim))
+    T = tuple(exactq.read_rows(body[dim:], m))
     return Certificate(candidate=name, c=c, k=k, m=m, Q=Q, T=T)

@@ -3,20 +3,20 @@
 Commands: spectrum, search, optimize, certify, verify, compound. Output is
 machine-parseable `key: value` lines (append --human for formatted tables).
 Every command is deterministic: only `optimize` draws random numbers, from
---seed (default: env SSC_SEED, else 0). Exit codes: 0 success/PASS,
-1 FAIL/NOT_FOUND, 2 usage/parse error or, for `verify`, a Q over the
-exact PSD check's work budget (`exactq.MAX_WORK`); `certify` records such
-a rung as OVER_BUDGET and goes on up the ladder.
+--seed (default 0). Exit codes: 0 success/PASS, 1 FAIL/NOT_FOUND, 2
+usage/parse error or, for `verify`, a Q over the exact PSD check's work
+budget (`exactq.MAX_WORK`); `certify` records such a rung as OVER_BUDGET
+and goes on up the ladder.
 
 The parser needs only `check`'s base table, and each command imports the
 modules it uses, so `ssc verify` and `ssc compound` run without loading
-numpy.
+numpy. Certificates and matrix files share one row reader and one row
+writer (`exactq.read_rows`, `exactq.format_row`).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -54,14 +54,6 @@ def _vec(v) -> str:
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def default_seed() -> int:
-    raw = os.environ.get("SSC_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SSC_SEED must be an integer, got {raw!r}")
 
 
 def cmd_spectrum(path: str) -> RunReport:
@@ -107,12 +99,11 @@ def _parse_weights(text: str, k: int):
         raise ValueError(f"weight too large for a float: {e}")
 
 
-def cmd_optimize(name: str, restarts: int = 200, seed: int | None = None,
+def cmd_optimize(name: str, restarts: int = 200, seed: int = 0,
                  weights: str | None = None) -> RunReport:
     from . import stepmodel
 
     t0 = time.perf_counter()
-    seed = default_seed() if seed is None else int(seed)
     cand = stepmodel.candidate(name)
     if weights is None:
         u, val = stepmodel.maximize_sigma(cand, restarts=restarts, seed=seed)
@@ -214,7 +205,7 @@ def cmd_compound(path: str, k: int) -> RunReport:
     C = check.additive_compound(M, k)
     results = [("n", str(len(M))), ("k", str(k)), ("dim", str(len(C))),
                ("arithmetic", "exact")]
-    results += [("row", " ".join(map(exactq.format_rational, row))) for row in C]
+    results += [("row", exactq.format_row(row)) for row in C]
     return RunReport("compound", (("file", path),), tuple(results),
                      time.perf_counter() - t0)
 
@@ -246,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", choices=sorted(check.CANDIDATES))
     p.add_argument("--restarts", type=int, default=200,
                    help="Dirichlet probes scored besides the 1/14 grid")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", default=None, metavar="W1,W2,...",
                    help="evaluate at these weights (rationals or decimals) "
                         "instead of optimizing")

@@ -1,12 +1,13 @@
 """Exact rational matrix arithmetic.
 
 PSD verification by pivoted LDL^T elimination, bounded-denominator
-rationalization of floats, and exact quadratic-form evaluation. Matrices
-over Q are plain lists of lists of Fraction. The PSD check scales each
-connected component of Q's nonzero pattern to integers by the lcm of its
-denominators and eliminates it fraction-free (Bareiss), so every
-intermediate is an integer minor of the scaled component, whose size the
-work budget MAX_WORK caps before any elimination starts.
+rationalization of floats, exact quadratic-form evaluation, and the one
+scan (nonzeros), reader (numbered_lines, read_rows) and writer (format_row)
+of exact matrices. Matrices over Q are rows of Fractions. The PSD check
+scales each connected component of Q's nonzero pattern to integers by the
+lcm of its denominators and eliminates it fraction-free (Bareiss), so
+every intermediate is an integer minor of the scaled component, whose
+size the work budget MAX_WORK caps before any elimination starts.
 """
 
 from __future__ import annotations
@@ -42,39 +43,25 @@ class PsdWitness:
 _ZERO = Fraction(0)
 
 
-def _as_fraction(x) -> Fraction:
-    x = x if type(x) is Fraction else Fraction(x)
-    return x if x else _ZERO
-
-
-def nonzero_cols(row: Sequence) -> list[int]:
-    """Indices of the nonzero entries of a row. Entries that are the shared
-    _ZERO are passed over by identity in C; only the others are tested,
-    since the truth test of a Fraction is Python code."""
-    maybe = itertools.compress(range(len(row)),
-                               map(operator.is_not, row, itertools.repeat(_ZERO)))
-    return [j for j in maybe if row[j]]
-
-
-def _nonzeros(rows: Sequence[Sequence]) -> list[dict[int, Fraction]]:
-    """The nonzero entries of a square symmetric matrix as Fractions, row by
-    row: {col: value}. Only these are converted and compared for symmetry."""
-    n = len(rows)
-    nz = []
-    for row in rows:
+def nonzeros(M: Sequence[Sequence]) -> list[dict[int, Fraction]]:
+    """The nonzero entries of a square matrix as Fractions, row by row:
+    {col: value}. Entries that are the shared _ZERO are passed over by
+    identity in C; only the others are converted and tested, since the
+    truth test of a Fraction is Python code."""
+    n = len(M)
+    out = []
+    for row in M:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        out = {}
-        for j in nonzero_cols(row):
-            x = _as_fraction(row[j])
+        d = {}
+        for j in itertools.compress(range(n), map(operator.is_not, row, itertools.repeat(_ZERO))):
+            x = row[j]
+            if type(x) is not Fraction:
+                x = Fraction(x)
             if x:
-                out[j] = x
-        nz.append(out)
-    bad = [(max(i, j), min(i, j)) for i, row in enumerate(nz) for j, x in row.items()
-           if (y := nz[j].get(i, _ZERO)) is not x and y != x]
-    if bad:
-        raise ValueError("matrix is not symmetric at (%d,%d)" % min(bad))
-    return nz
+                d[j] = x
+        out.append(d)
+    return out
 
 
 def q_eval(Q: Sequence[Sequence[Fraction]], z: Sequence[Fraction]) -> Fraction:
@@ -102,15 +89,9 @@ def rational_approx(x: float, max_den: int) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-def components(Q: Sequence[Sequence]) -> list[list[int]]:
-    """Connected components of the nonzero pattern of a square matrix, each
-    sorted, in the order of their least index. Q is the direct sum of its
-    principal submatrices on them (up to a permutation)."""
-    return _components([nonzero_cols(row) for row in Q])
-
-
 def _components(adj: Sequence) -> list[list[int]]:
-    """components, from the columns of the nonzero entries of each row."""
+    """Connected components of a square matrix's nonzero pattern, from its
+    nonzeros, each sorted, in the order of their least index."""
     seen = [False] * len(adj)
     out = []
     for root in range(len(adj)):
@@ -293,7 +274,11 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     Converting Q and splitting it into components touch only nonzero
     entries.
     """
-    nz = _nonzeros(Q_in)
+    nz = nonzeros(Q_in)
+    bad = [(max(i, j), min(i, j)) for i, row in enumerate(nz) for j, x in row.items()
+           if (y := nz[j].get(i, _ZERO)) is not x and y != x]
+    if bad:
+        raise ValueError("matrix is not symmetric at (%d,%d)" % min(bad))
     n = len(nz)
     comps = _components(nz)
     scaled = [_scaled(nz, comp) for comp in comps]
@@ -383,35 +368,57 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_row(row: Sequence) -> str:
+    """A matrix row in the shared format: p/q tokens, one space apart."""
+    return " ".join([format_rational(x) if x else "0/1" for x in row])
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line, counting from 1;
+    the text formats skip blank lines and name lines by these numbers."""
+    return [(no, s) for no, ln in enumerate(text.splitlines(), 1) if (s := ln.strip())]
+
+
+def read_rows(lines: Sequence[tuple[int, str]], width: int) -> list[tuple[Fraction, ...]]:
+    """Rows of `width` entries in the parse_rational grammar, one per
+    (line number, text) of numbered_lines. Each distinct token is parsed
+    once per call and every zero is the shared _ZERO, so equal tokens give
+    one object. A malformed row raises ValueError naming its line and, for
+    a bad entry, the first one in the row."""
+    values: dict[str, Fraction] = {}
+    rows = []
+    for no, ln in lines:
+        toks = ln.split()
+        if len(toks) != width:
+            raise ValueError(f"line {no}: expected {width} entries, got {len(toks)}")
+        if not values.keys() >= set(toks):  # a new token: read them in row order
+            for t in toks:
+                if t not in values:
+                    try:
+                        values[t] = parse_rational(t) or _ZERO
+                    except ValueError as e:
+                        raise ValueError(f"line {no}: {e}")
+        row = operator.itemgetter(*toks)(values)  # one key gives a bare value
+        rows.append(row if width > 1 else (row,))
+    return rows
+
+
 def read_matrix_q(text: str) -> QMatrix:
     """The matrix file format: the dimension k (parse_int), then k rows of
-    k entries in the parse_rational grammar; blank lines are skipped."""
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
+    k entries (read_rows); blank lines are skipped."""
+    lines = numbered_lines(text)
+    if not lines:
         raise ValueError("line 1: missing dimension")
+    no, head = lines[0]
     try:
-        k = parse_int(lines[idx])
+        k = parse_int(head)
     except ValueError:
-        raise ValueError(f"line {idx + 1}: expected integer dimension")
+        raise ValueError(f"line {no}: expected integer dimension")
     if k < 1:
-        raise ValueError(f"line {idx + 1}: dimension must be >= 1")
-    rows: QMatrix = []
-    for ln_no in range(idx + 1, len(lines)):
-        ln = lines[ln_no].strip()
-        if not ln:
-            continue
-        if len(rows) >= k:
-            raise ValueError(f"line {ln_no + 1}: more than {k} rows")
-        toks = ln.split()
-        if len(toks) != k:
-            raise ValueError(f"line {ln_no + 1}: expected {k} entries, got {len(toks)}")
-        try:
-            rows.append([parse_rational(t) for t in toks])
-        except ValueError as e:
-            raise ValueError(f"line {ln_no + 1}: {e}")
+        raise ValueError(f"line {no}: dimension must be >= 1")
+    rows = read_rows(lines[1:k + 1], k)
+    if len(lines) > k + 1:
+        raise ValueError(f"line {lines[k + 1][0]}: more than {k} rows")
     if len(rows) != k:
         raise ValueError(f"expected {k} rows, got {len(rows)}")
-    return rows
+    return [list(r) for r in rows]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .check import wedge_pairs
-from .exactq import parse_int
+from .exactq import numbered_lines, parse_int
 
 MAX = "MAX"
 MIN_CONNECTED = "MIN_CONNECTED"
@@ -280,39 +280,34 @@ def read_graph(text: str) -> Graph:
     """Read the graph format; every integer is read by exactq.parse_int,
     and n is checked against MAX_FILE_ORDER before any edge is read. An
     edge given twice, in either orientation, is refused at its second line."""
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
+    lines = numbered_lines(text)
+    if not lines:
         raise ValueError("line 1: missing header 'n m'")
-    head = lines[idx].split()
+    no, ln = lines[0]
+    head = ln.split()
     if len(head) != 2:
-        raise ValueError(f"line {idx + 1}: expected 'n m', got {lines[idx].strip()!r}")
+        raise ValueError(f"line {no}: expected 'n m', got {ln!r}")
     try:
         n, m = parse_int(head[0]), parse_int(head[1])
     except ValueError:
-        raise ValueError(f"line {idx + 1}: expected integers 'n m'")
+        raise ValueError(f"line {no}: expected integers 'n m'")
     if n > MAX_FILE_ORDER:
-        raise ValueError(f"line {idx + 1}: n = {n} is above the limit {MAX_FILE_ORDER}")
+        raise ValueError(f"line {no}: n = {n} is above the limit {MAX_FILE_ORDER}")
     edges = {}  # (min, max) -> line of first occurrence
-    for ln_no in range(idx + 1, len(lines)):
-        ln = lines[ln_no].strip()
-        if not ln:
-            continue
+    for no, ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 2:
-            raise ValueError(f"line {ln_no + 1}: expected 'i j', got {ln!r}")
+            raise ValueError(f"line {no}: expected 'i j', got {ln!r}")
         try:
             i, j = parse_int(toks[0]), parse_int(toks[1])
         except ValueError:
-            raise ValueError(f"line {ln_no + 1}: expected integer endpoints")
+            raise ValueError(f"line {no}: expected integer endpoints")
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"line {ln_no + 1}: endpoint out of range 1..{n}")
+            raise ValueError(f"line {no}: endpoint out of range 1..{n}")
         e = (min(i, j), max(i, j))
         if e in edges:
-            raise ValueError(f"line {ln_no + 1}: edge {i} {j} repeats line {edges[e]}")
-        edges[e] = ln_no + 1
+            raise ValueError(f"line {no}: edge {i} {j} repeats line {edges[e]}")
+        edges[e] = no
     if len(edges) != m:
         raise ValueError(f"header says {m} edges, file has {len(edges)}")
     return graph(n, edges)

@@ -514,9 +514,9 @@ def fraction_ldl_psd_check(Q_in):
     The integer exactq.ldl_psd_check must return an equal PsdWitness.
     """
     from specsum.exactq import (_ZERO, NOT_PSD, PSD, PsdWitness, _components,
-                                _nonzeros, q_eval)
+                                nonzeros, q_eval)
 
-    nz = _nonzeros(Q_in)
+    nz = nonzeros(Q_in)
     n = len(nz)
     decomp = []
     R = [{} for _ in range(n)]  # the re-multiplied decomposition, as nz
@@ -550,10 +550,10 @@ def work_score(Q) -> int:
     """The largest, over the connected components of Q's nonzero pattern,
     of the component's size times the bit length of its largest entry
     over the lcm of its denominators: the measure exactq.MAX_WORK bounds."""
-    from specsum.exactq import components
+    from specsum.exactq import _components, nonzeros
 
     best = 0
-    for comp in components(Q):
+    for comp in _components(nonzeros(Q)):
         vals = [Fraction(Q[i][j]) for i in comp for j in comp]
         L = math.lcm(*(x.denominator for x in vals))
         best = max(best, len(comp) * max(abs(x * L).numerator for x in vals).bit_length())

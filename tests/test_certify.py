@@ -417,6 +417,12 @@ class TestVerifyIdentity:
         if kind == "skew_0i":
             assert rep.ok
 
+    @pytest.mark.parametrize("name,checked", [("P3", 24), ("P4", 78), ("H5", 180), ("H6", 345)])
+    def test_entries_checked_pinned(self, name, checked):
+        # the sizes of the unions of supports that the identity compares on
+        # (the README quotes H6's 345): a change to any union shows here
+        assert ct.verify_identity(certified(name, C87).certificate).checked == checked
+
 
 class TestVerifyPsd:
     def test_pipeline_output_is_psd(self, p3_result):

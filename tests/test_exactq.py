@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsum import exactq
+from specsum import check, exactq
 from oracles import dense_ldl_psd_check, fraction_ldl_psd_check, rational_matrix, work_score
 
 
@@ -183,10 +183,10 @@ class TestLdlPsdCheck:
     def test_components_of_nonzero_pattern(self):
         Q = [[Fraction(int(c)) for c in row] for row in
              ("10010", "01000", "00000", "10010", "00001")]
-        assert exactq.components(Q) == [[0, 3], [1], [2], [4]]
+        assert exactq._components(exactq.nonzeros(Q)) == [[0, 3], [1], [2], [4]]
         # a chain connects its ends through the middle: 0 - 2 - 1
         Q = [[Fraction(int(c)) for c in row] for row in ("101", "011", "111")]
-        assert exactq.components(Q) == [[0, 1, 2]]
+        assert exactq._components(exactq.nonzeros(Q)) == [[0, 1, 2]]
 
     def test_witness_lives_on_its_component(self):
         I, Z = Fraction(1), Fraction(0)
@@ -268,6 +268,79 @@ class TestRationalIO:
             exactq.read_matrix_q("2\n1 2\n")
         with pytest.raises(ValueError, match="line 1"):
             exactq.read_matrix_q("\uff12\n1 0\n0 1\n")  # fullwidth two
+
+
+ZEROS = (exactq._ZERO, Fraction(0), 0, 0.0, -0.0)
+NONZERO = (st.integers(-9, 9).filter(bool)
+           | st.fractions(max_denominator=97).filter(bool)
+           | st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+
+
+def dense_nonzeros(M):
+    """exactq.nonzeros by a plain scan of every entry."""
+    return [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in M]
+
+
+class TestSharedReader:
+    """The helpers that every exact matrix goes through: nonzeros scans,
+    numbered_lines and read_rows read, format_row writes."""
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from(ZEROS) | NONZERO, min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_nonzeros_match_a_dense_scan(self, M):
+        got = exactq.nonzeros(M)
+        assert got == dense_nonzeros(M)
+        assert all(list(row) == sorted(row) for row in got)
+        assert all(type(x) is Fraction for row in got for x in row.values())
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n - 1), st.integers(0, 8).filter(lambda w: w != n))))
+    @settings(max_examples=50, deadline=None)
+    def test_nonzeros_refuses_a_ragged_matrix(self, shape):
+        n, at, width = shape
+        M = [[Fraction(1)] * n for _ in range(n)]
+        M[at] = [Fraction(1)] * width
+        with pytest.raises(ValueError, match="matrix is not square"):
+            exactq.nonzeros(M)
+
+    @staticmethod
+    def both_readers(rows):
+        """Three 3-entry rows read as a matrix file and as a K2 certificate
+        body, both starting on line 4."""
+        matrix = "\n\n3\n" + "".join(r + "\n" for r in rows)
+        cert = "candidate K2\nbound 1/1\n2 1 3\n" + "".join(r + "\n" for r in rows) + "1/1\n"
+        return matrix, cert
+
+    @pytest.mark.parametrize("row,err", [
+        ("0 0", "line 5: expected 3 entries, got 2"),
+        ("0 1_0/1 0", "line 5: bad rational '1_0/1'"),
+        ("2_0/1 1_0/1 3_0/1", "line 5: bad rational '2_0/1'")],
+        ids=["short_row", "grouped_digits", "first_bad_entry_named"])
+    def test_malformed_row_same_message_in_both_readers(self, row, err):
+        matrix, cert = self.both_readers(["10/1 0 0", row, "0 0 1"])
+        with pytest.raises(ValueError) as from_matrix:
+            exactq.read_matrix_q(matrix)
+        with pytest.raises(ValueError) as from_cert:
+            check.parse_certificate(cert)
+        assert str(from_matrix.value) == str(from_cert.value) == err
+
+    def test_zeros_shared_and_repeated_tokens_one_object(self):
+        matrix, cert = self.both_readers(["0 -0/3 3/7", "0.0e5 3/7 0", "3/7 0/1 -0"])
+        for M in (exactq.read_matrix_q(matrix), check.parse_certificate(cert).Q):
+            assert [M[i][j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2))] \
+                == [Fraction(0)] * 6
+            assert all(x is exactq._ZERO for row in M for x in row if not x)
+            assert M[0][2] == Fraction(3, 7) and M[0][2] is M[1][1] is M[2][0]
+
+    def test_numbered_lines_skip_blank_lines(self):
+        assert exactq.numbered_lines("\n a b \n\t\n \nc\n") == [(2, "a b"), (5, "c")]
+
+    def test_format_row(self):
+        row = [exactq._ZERO, Fraction(0), Fraction(-6, 4), Fraction(3)]
+        assert exactq.format_row(row) == "0/1 0/1 -3/2 3/1"
+        assert exactq.read_rows([(1, exactq.format_row(row))], 4) == [tuple(row)]
 
 
 # denominators that share some factors and not others, so that components
