@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="produce an exact SOS certificate")
     p.add_argument("candidate", choices=sorted(check.BASES))
-    p.add_argument("--bound", default="8/7")
+    p.add_argument("--bound", default="8/7",
+                   help="rational bound; write a negative one as --bound=-1/2")
     p.add_argument("--max-den", type=int, default=10 ** 4,
                    help="largest denominator tried")
     p.add_argument("--max-iter", type=int, default=50000)

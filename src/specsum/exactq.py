@@ -364,7 +364,6 @@ def parse_rational(tok: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

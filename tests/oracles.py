@@ -3,8 +3,8 @@
 Everything here is deliberately written by a different route than the
 package code: closed forms, brute force over bitmasks, minor expansions,
 and the plain one-step-at-a-time loop that a batched fast path replaced.
-The frozen P3 constants were derived symbolically once (see
-scripts/derive_p3_extremal.py, which re-derives and re-checks them); tests
+The frozen P3 constants are floats; tests/test_p3_exact.py derives their
+exact values in Fraction arithmetic and checks each within 1e-15. Tests
 compare against these literals, not against package output.
 """
 
@@ -17,21 +17,28 @@ from fractions import Fraction
 import numpy as np
 
 # --- frozen extremal data for the looped path on 3 vertices ---------------
-# maximizer of sigma over the simplex and the step values there
-P3_U_STAR = (2 / 7, 3 / 7, 2 / 7)
-P3_SIGMA_STAR = 8 / 7
-P3_MU = (6 / 7, 2 / 7)  # top two eigenvalues of M* at u*
-P3_SPECTRUM = (6 / 7, 2 / 7, -1 / 7)
+# maximizer of sigma over the simplex and the step values there; each is
+# checked exactly in tests/test_p3_exact.py, by the test named beside it
+P3_U_STAR = (2 / 7, 3 / 7, 2 / 7)  # test_attainment, test_rational_constants
+P3_SIGMA_STAR = 8 / 7  # test_attainment, test_rational_constants
+P3_MU = (6 / 7, 2 / 7)  # top two eigenvalues of M* at u*: test_eigenpairs
+P3_SPECTRUM = (6 / 7, 2 / 7, -1 / 7)  # test_eigenpairs
+# alpha^2 = (3/4, 4/3, 3/4) and beta^2 = (7/4, 0, 7/4): test_squares,
+# test_step_values
 P3_ALPHA = (math.sqrt(3) / 2, 2 / math.sqrt(3), math.sqrt(3) / 2)
 P3_BETA = (math.sqrt(7) / 2, 0.0, -math.sqrt(7) / 2)
-P3_KAPPA = {(1, 2): 1.0, (1, 3): -1.0, (2, 3): 1.0}
+P3_KAPPA = {(1, 2): 1.0, (1, 3): -1.0, (2, 3): 1.0}  # test_kappa
 
-# spectral sums of named small graphs
-PATH4_SUM = math.sqrt(5)  # 2cos(pi/5) + 2cos(2pi/5) = golden ratio + 1/phi
+# spectral sums of named small graphs (irrational ones kept as floats)
+# P4: eigenvalues 2cos(k pi/5), so 2cos(pi/5) + 2cos(2pi/5) = phi + 1/phi
+PATH4_SUM = math.sqrt(5)
+# K(7,2,2): the quotient matrix on its parts of 2, 2 and 3 vertices,
+# [[1,0,3],[0,1,3],[2,2,2]], has eigenvalues 5, 1 and -2, so 5 + 1
 K722_SUM = 6.0
 
 # exhaustive extremal values (brute force below reproduces these):
-# n=2 empty graph, n=3 the path, n=4 the diamond K4 - e
+# n=2 the empty graph, 0 + 0; n=3 the path, sqrt(2) + 0; n=4 the diamond
+# K4 - e, whose eigenvalues are (1 +- sqrt(17))/2, 0 and -1
 MAX_SUM = {2: 0.0, 3: math.sqrt(2), 4: (1 + math.sqrt(17)) / 2}
 
 

@@ -81,6 +81,24 @@ class TestPsi:
         M = sym(11, 5)
         assert np.abs(compound.psi(M) - psi_kron(M)).max() < 1e-12
 
+    def test_entry_formula_exact_on_unit_matrices(self):
+        # psi(E_ab) = 1/2 P0^T (E_ab (x) I + I (x) E_ab) P0 exactly, where P0
+        # has the column e_i (x) e_j - e_j (x) e_i for each wedge pair; psi is
+        # linear, so this pins it on every matrix, symmetric or not
+        n = 4
+
+        def mm(X, Y):
+            return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+        P0 = [[(r == i * n + j) - (r == j * n + i) for i, j in itertools.combinations(range(n), 2)]
+              for r in range(n * n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            E = [[int((r, s) == (a, b)) for s in range(n)] for r in range(n)]
+            N = [[E[p // n][q // n] * (p % n == q % n) + (p // n == q // n) * E[p % n][q % n]
+                  for q in range(n * n)] for p in range(n * n)]
+            want = [[Fraction(x, 2) for x in row] for row in mm(mm(list(zip(*P0)), N), P0)]
+            assert [list(row) for row in check.psi(E)] == want
+
     def test_float_entries_are_float_arithmetic(self):
         # every entry is M_ii + M_jj, +-M_xy or 0, as float arithmetic gives it
         M = sym(14, 6)

@@ -231,6 +231,10 @@ class TestRationalIO:
         assert exactq.format_rational(Fraction(0)) == "0/1"
         assert exactq.format_rational(Fraction(3)) == "3/1"
 
+    def test_format_int_as_its_fraction(self):
+        for n in (0, 3, -5, 10 ** 40):
+            assert exactq.format_rational(n) == exactq.format_rational(Fraction(n)) == f"{n}/1"
+
     def test_parse_forms(self):
         assert exactq.parse_rational("8/7") == Fraction(8, 7)
         assert exactq.parse_rational("-3") == Fraction(-3)
