@@ -233,48 +233,77 @@ def verify_psd(cert: Certificate) -> exactq.PsdWitness:
 
 
 # --- certificate text format ---------------------------------------------
-# line 1: "candidate <name>"; line 2: "bound p/q"; line 3: "k m dimQ";
-# then dimQ rows of dimQ rationals (Q), then m rows of m rationals (T).
+# line 1: "candidate <name>"; line 2: "bound p/q"; line 3: "k m dimQ", the
+# named base's own; then one line "Q r s p/q" per nonzero entry of Q on or
+# above the diagonal (0-based, r <= s) in increasing (r, s), then the
+# "T r s p/q" lines of T likewise. Unlisted entries are zero and the lower
+# triangle is the mirror, so Q and T read from a file are symmetric.
 
 def format_certificate(cert: Certificate) -> str:
     lines = [f"candidate {cert.candidate}",
              f"bound {exactq.format_rational(cert.c)}",
              f"{cert.k} {cert.m} {len(cert.Q)}"]
-    lines += map(exactq.format_row, cert.Q)
-    lines += map(exactq.format_row, cert.T)
+    for tag, M in (("Q", cert.Q), ("T", cert.T)):
+        nz = exactq.nonzeros(M)
+        if any(nz[s].get(r) != x for r, row in enumerate(nz) for s, x in row.items()):
+            raise ValueError(f"{tag} is not symmetric; the file holds only its upper triangle")
+        lines += [f"{tag} {r} {s} {exactq.format_rational(x)}"
+                  for r, row in enumerate(nz) for s, x in row.items() if s >= r]
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
     """Read the certificate format; any deviation raises ValueError naming
-    the line. The rows are read by exactq.read_rows: each distinct token
-    of Q (and of T) is parsed once, and every zero is the shared
-    exactq._ZERO."""
-    lines = text.splitlines()
-    if len(lines) < 3:
-        raise ValueError("line 1: truncated certificate")
-    name = lines[0][len("candidate "):].strip() if lines[0].startswith("candidate ") else ""
-    if not name:
-        raise ValueError("line 1: expected 'candidate <name>'")
-    if not lines[1].startswith("bound "):
-        raise ValueError("line 2: expected 'bound p/q'")
+    the line. Line 3 must be the named base's, checked before Q and T are
+    allocated. Entry lines must follow the order above, with indices in
+    canonical decimal and nonzero values in the exactq.parse_rational
+    grammar. An entry and its mirror are one object, as are equal values;
+    every unlisted entry is the shared exactq._ZERO."""
+    lines = exactq.numbered_lines(text)
+    (n1, l1), (n2, l2), (n3, l3) = (lines + [(lines[-1][0] + 1 if lines else 1, "")] * 3)[:3]
+    if not l1.startswith("candidate "):
+        raise ValueError(f"line {n1}: expected 'candidate <name>'")
+    name = l1[len("candidate "):].strip()
+    if not l2.startswith("bound "):
+        raise ValueError(f"line {n2}: expected 'bound p/q'")
     try:
-        c = exactq.parse_rational(lines[1][len("bound "):])
+        k, _ = base(name)
     except ValueError as e:
-        raise ValueError(f"line 2: {e}")
-    head = lines[2].split()
-    if len(head) != 3:
-        raise ValueError("line 3: expected 'k m dimQ'")
+        raise ValueError(f"line {n1}: {e}")
     try:
-        k, m, dim = (exactq.parse_int(t) for t in head)
-    except ValueError:
-        raise ValueError("line 3: expected integers 'k m dimQ'")
-    if dim != (k + 1) * m:
-        raise ValueError(f"line 3: dimQ must be (k+1)*m = {(k + 1) * m}, got {dim}")
-    # lines 1-3 are not blank, as read above
-    body = exactq.numbered_lines(text)[3:]
-    if len(body) != dim + m:
-        raise ValueError(f"expected {dim + m} matrix rows, got {len(body)}")
-    Q = tuple(exactq.read_rows(body[:dim], dim))
-    T = tuple(exactq.read_rows(body[dim:], m))
-    return Certificate(candidate=name, c=c, k=k, m=m, Q=Q, T=T)
+        c = exactq.parse_rational(l2[len("bound "):])
+    except ValueError as e:
+        raise ValueError(f"line {n2}: {e}")
+    m = k * (k - 1) // 2
+    dim = (k + 1) * m
+    if l3.split() != [str(k), str(m), str(dim)]:
+        raise ValueError(f"line {n3}: expected '{k} {m} {dim}', the k m dimQ of base {name}")
+    Q = [[_ZERO] * dim for _ in range(dim)]
+    T = [[_ZERO] * m for _ in range(m)]
+    # each matrix with its indices by their text; each value is parsed once
+    mats = {tag: (M, {str(i): i for i in range(len(M))}) for tag, M in (("Q", Q), ("T", T))}
+    values, last = {}, ("Q", -1, -1)
+    for no, ln in lines[3:]:
+        f = ln.split()
+        if len(f) != 4 or f[0] not in mats:
+            raise ValueError(f"line {no}: expected 'Q r s p/q' or 'T r s p/q'")
+        tag, a, b, tok = f
+        M, index = mats[tag]
+        r, s = index.get(a), index.get(b)
+        if r is None or s is None or r > s:
+            raise ValueError(f"line {no}: {tag} {a[:20]} {b[:20]}: need 0 <= r <= s < {len(M)}")
+        if (tag, r, s) <= last:
+            raise ValueError(f"line {no}: {tag} {r} {s} comes after {' '.join(map(str, last))}; "
+                             f"Q lines come first, each matrix in increasing (r, s)")
+        x = values.get(tok)
+        if x is None:
+            try:
+                x = values[tok] = exactq.parse_rational(tok)
+            except ValueError as e:
+                raise ValueError(f"line {no}: {e}")
+        if not x:
+            raise ValueError(f"line {no}: explicit zero; leave the entry out")
+        M[r][s] = M[s][r] = x
+        last = tag, r, s
+    return Certificate(candidate=name, c=c, k=k, m=m,
+                       Q=tuple(map(tuple, Q)), T=tuple(map(tuple, T)))

@@ -10,22 +10,24 @@ and goes on up the ladder.
 
 The parser needs only `check`'s base table, and each command imports the
 modules it uses, so `ssc verify` and `ssc compound` run without loading
-numpy. Certificates and matrix files share one row reader and one row
-writer (`exactq.read_rows`, `exactq.format_row`).
+numpy. Certificates are read and written by `check`, matrix files by
+`exactq.read_matrix_q` and `exactq.format_row`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import check, exactq
 
 
-@dataclass(frozen=True)
-class RunReport:
+# a NamedTuple: a frozen dataclass takes about 0.4 ms to build at every start
+class RunReport(NamedTuple):
     command: str
     config: tuple  # (key, value) echo of run parameters
     results: tuple
@@ -215,15 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ssc",
         description="spectral-sum toolkit: spectra, exhaustive search, "
                     "weight optimization, and exact SOS certificates")
-    ap.add_argument("--human", action="store_true",
-                    help="append human-formatted tables to the report")
+    human = "append human-formatted tables to the report"
+    ap.add_argument("--human", action="store_true", help=human)
+    # --human after the command too; with no default there, leaving it out
+    # keeps the value read before the command
+    after = argparse.ArgumentParser(add_help=False)
+    after.add_argument("--human", action="store_true", default=argparse.SUPPRESS, help=human)
     sub = ap.add_subparsers(dest="cmd", required=True)
+    add = functools.partial(sub.add_parser, parents=[after])
 
-    p = sub.add_parser("spectrum", help="eigenvalues and spectral sum of a graph file")
+    p = add("spectrum", help="eigenvalues and spectral sum of a graph file")
     p.add_argument("file")
     p.set_defaults(run=lambda a: cmd_spectrum(a.file))
 
-    p = sub.add_parser("search", help="exhaustive extremal search over graphs")
+    p = add("search", help="exhaustive extremal search over graphs")
     p.add_argument("n", type=int)
     g = p.add_mutually_exclusive_group(required=True)
     # graphs.MAX and graphs.MIN_CONNECTED, spelled out: graphs loads numpy
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    const="MIN_CONNECTED", help="minimize over connected graphs")
     p.set_defaults(run=lambda a: cmd_search(a.n, a.mode))
 
-    p = sub.add_parser("optimize", help="maximize sigma over simplex weights")
+    p = add("optimize", help="maximize sigma over simplex weights")
     p.add_argument("candidate", choices=sorted(check.CANDIDATES))
     p.add_argument("--restarts", type=int, default=200,
                    help="Dirichlet probes scored besides the 1/14 grid")
@@ -244,10 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda a: cmd_optimize(a.candidate, restarts=a.restarts,
                                               seed=a.seed, weights=a.weights))
 
-    p = sub.add_parser("certify", help="produce an exact SOS certificate")
+    p = add("certify", help="produce an exact SOS certificate")
     p.add_argument("candidate", choices=sorted(check.BASES))
-    p.add_argument("--bound", default="8/7",
-                   help="rational bound; write a negative one as --bound=-1/2")
+    p.add_argument("--bound", default="8/7", help="rational bound")
     p.add_argument("--max-den", type=int, default=10 ** 4,
                    help="largest denominator tried")
     p.add_argument("--max-iter", type=int, default=50000)
@@ -257,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
                                              max_den=a.max_den,
                                              max_iter=a.max_iter, out=a.out))
 
-    p = sub.add_parser("verify", help="exactly verify a certificate file")
+    p = add("verify", help="exactly verify a certificate file")
     p.add_argument("file")
     p.set_defaults(run=lambda a: cmd_verify(a.file))
 
-    p = sub.add_parser("compound", help="k-th additive compound of a matrix file")
+    p = add("compound", help="k-th additive compound of a matrix file")
     p.add_argument("file")
     p.add_argument("k", type=int)
     p.set_defaults(run=lambda a: cmd_compound(a.file, a.k))
@@ -269,6 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a "-1/2" or "-.5" after --bound for an option: glue it on
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--bound" and re.match(r"-[0-9.]", argv[i + 1]):
+            argv[i:i + 2] = [f"--bound={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         report = args.run(args)

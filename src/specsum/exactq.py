@@ -308,7 +308,7 @@ def ldl_psd_check(Q_in: Sequence[Sequence]) -> PsdWitness:
     return PsdWitness(verdict=PSD, decomposition=tuple(decomp))
 
 
-# --- rational rendering and the shared matrix format ---------------------
+# --- rational rendering and the matrix file format -----------------------
 
 # One strict ASCII grammar (see parse_rational) rather than Fraction(str),
 # whose accepted forms grow with the interpreter: since 3.11 it takes "1_0"

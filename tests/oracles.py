@@ -756,3 +756,38 @@ def eigvalsh_min(L, v: np.ndarray) -> float:
     """certify._min_eigenvalue with every block through a stacked eigvalsh."""
     return min(float(np.linalg.eigvalsh(v[start:stop].reshape(count, s, s))[:, 0].min())
                for s, start, stop, count in L.stacks)
+
+
+# --- certificate format 1 -------------------------------------------------
+# The dense format that check.format_certificate wrote before the sparse
+# entry lines: the same three header lines, then dimQ rows of dimQ
+# rationals (Q) and m rows of m rationals (T), every zero written as 0/1.
+
+def dense_format_certificate(cert) -> str:
+    from specsum.exactq import format_rational, format_row
+
+    lines = [f"candidate {cert.candidate}", f"bound {format_rational(cert.c)}",
+             f"{cert.k} {cert.m} {len(cert.Q)}"]
+    lines += map(format_row, cert.Q)
+    lines += map(format_row, cert.T)
+    return "\n".join(lines) + "\n"
+
+
+def dense_parse_certificate(text: str):
+    """Read format 1 with exactq.read_rows; any deviation raises ValueError."""
+    from specsum.check import Certificate
+    from specsum.exactq import numbered_lines, parse_int, parse_rational, read_rows
+
+    lines = text.splitlines()
+    if len(lines) < 3 or not lines[0].startswith("candidate ") \
+            or not lines[1].startswith("bound "):
+        raise ValueError("line 1: expected 'candidate <name>' and 'bound p/q'")
+    k, m, dim = (parse_int(t) for t in lines[2].split())
+    if dim != (k + 1) * m:
+        raise ValueError(f"line 3: dimQ must be (k+1)*m = {(k + 1) * m}, got {dim}")
+    body = numbered_lines(text)[3:]
+    if len(body) != dim + m:
+        raise ValueError(f"expected {dim + m} matrix rows, got {len(body)}")
+    return Certificate(candidate=lines[0][len("candidate "):].strip(),
+                       c=parse_rational(lines[1][len("bound "):]), k=k, m=m,
+                       Q=tuple(read_rows(body[:dim], dim)), T=tuple(read_rows(body[dim:], m)))

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import inspect
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,16 @@ from hypothesis import strategies as st
 
 from specsum import certify as ct
 from specsum import check, cli, exactq, graphs, stepmodel
-from oracles import (additive_compound_pairs, dense_rationalize, dense_verify_identity,
+from oracles import (additive_compound_pairs, dense_format_certificate,
+                     dense_parse_certificate, dense_rationalize, dense_verify_identity,
                      eigh_clip_psd, eigvalsh_min, fraction_ldl_psd_check, hostile_certificate,
                      one_pass_certify, spot_check_loop, work_score)
 
 C87 = Fraction(8, 7)
 
-# the 8 certificate files pinned byte for byte: (base, bound, SHA-256)
+# the 8 certificate calls pinned byte for byte: (base, bound, SHA-256 of the
+# file in the dense format 1 of tests/oracles.py, as certify wrote it before
+# the sparse entry lines)
 PINNED = [
     ("P3", C87, "1e510a88601ff6f083f23ea203cb0888fa1fa95ef1b6b2f4d987c2c0f88e9ebe"),
     ("P4", C87, "ac68b6a0c57b2d53eeaac4c42f7025ef119038f9cd04eb4f66c0bc684376ebd0"),
@@ -29,6 +33,17 @@ PINNED = [
     ("H6", Fraction(23, 20), "0a139772277bab92156a4b3afa68dce387a0770994a29a1c85fd276c724c9109"),
     ("H6", Fraction(6, 5), "69e80fc85ba7abb188afee4c715a2796871ec59907776546a84c835580d26365"),
 ]
+# the SHA-256 of each of those files as certify writes it now
+SHA = {
+    ("P3", C87): "c928652c14a146927e7e7947359be00f09087298aebcea52d083a040e22550f0",
+    ("P4", C87): "8a081f780108f5aad19caf690f81a9b84b332d453d07f444771d6ea1aa1117c9",
+    ("H5", C87): "f958236d9c5e086efe2fe8ca51b7cd149c9b60611427a6af6b185bccd92c982a",
+    ("H6", C87): "706cf38d8787fec696c67990c81c4d7cee67f411aca0a502246f8d5a3be65ee2",
+    ("H5", Fraction(6, 5)): "23e3dcf367feff6686cf31310eda394e4f4855e195e83b6f4a81dea3fc39b5e3",
+    ("H5", Fraction(23, 20)): "e4d252142e331f7d3c0a4da1ea861a4a7a449b4dd5d84eafdede0144437b388e",
+    ("H6", Fraction(23, 20)): "f95a235f4f6b1112544c1b648fa035f43cdc77761e32b11468375c20b5352f9e",
+    ("H6", Fraction(6, 5)): "8be11199eb969b09f64a70b49666738f1648929a94ae2a20b74512a55376db5e",
+}
 # the denominators each of those calls tries, in order; the last one passes
 RUNGS = {("P3", C87): (7, 14), ("P4", C87): (7, 14, 21, 28, 42),
          ("H5", C87): (7, 14), ("H6", C87): (7, 14, 21, 28),
@@ -468,14 +483,18 @@ class TestCertify:
         assert r.certificate is None
         assert r.stage in ("sdp_solve", "verify_psd")
 
-    @pytest.mark.parametrize("name,c,sha", PINNED)
-    def test_certificate_bytes_pinned(self, name, c, sha):
+    @pytest.mark.parametrize("name,c,dense_sha", PINNED)
+    def test_certificate_bytes_pinned(self, name, c, dense_sha):
         # the emitted file is what `ssc verify` users re-check and compare,
         # so a solver change that moves the rounded point must show up here
         r = certified(name, c)
         assert r.status == "FOUND"
         text = ct.format_certificate(r.certificate)
-        assert hashlib.sha256(text.encode()).hexdigest() == sha
+        assert hashlib.sha256(text.encode()).hexdigest() == SHA[name, c]
+        # read back and written dense, it is the file pinned in format 1
+        dense = dense_format_certificate(ct.parse_certificate(text))
+        assert hashlib.sha256(dense.encode()).hexdigest() == dense_sha
+        assert dense_parse_certificate(dense) == r.certificate
 
     @pytest.mark.parametrize("name,c", list(RUNGS))
     def test_rungs_pinned_and_nonzeros_inside_blocks(self, name, c):
@@ -780,53 +799,147 @@ class TestCertificateIO:
         text = ct.format_certificate(p3_result.certificate)
         again = ct.parse_certificate(text)
         assert again == p3_result.certificate
+        assert ct.format_certificate(again) == text
 
     def test_header_layout(self, p3_result):
-        lines = ct.format_certificate(p3_result.certificate).splitlines()
+        cert = p3_result.certificate
+        lines = ct.format_certificate(cert).splitlines()
         assert lines[0] == "candidate P3"
         assert lines[1] == "bound 8/7"
         assert lines[2] == "3 3 12"
-        assert len(lines) == 3 + 12 + 3
+        # one line per nonzero on or above the diagonal, Q's first, each
+        # matrix in increasing (r, s)
+        want = [f"{tag} {r} {s} {exactq.format_rational(M[r][s])}"
+                for tag, M in (("Q", cert.Q), ("T", cert.T))
+                for r in range(len(M)) for s in range(r, len(M)) if M[r][s]]
+        assert lines[3:] == want and len(want) == 18
+
+    def test_writer_refuses_an_asymmetric_matrix(self, p3_result):
+        # the file holds the upper triangle alone, so an entry off its mirror
+        # would be lost or mirrored as it is written
+        cert = p3_result.certificate
+        for key, r, s in (("Q", 11, 3), ("Q", 3, 11), ("Q", 0, 1), ("T", 1, 0)):
+            bad = replace_entries(cert, **{key: [(r, s, Fraction(1, 7))]})
+            with pytest.raises(ValueError, match=f"^{key} is not symmetric; the file holds"):
+                ct.format_certificate(bad)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="line 1"):
             ct.parse_certificate("bogus\n")
         with pytest.raises(ValueError, match="line 2"):
             ct.parse_certificate("candidate P3\nnope\n1 1 2\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError,
+                           match=r"^line 3: expected '3 3 12', the k m dimQ of base P3$"):
             ct.parse_certificate("candidate P3\nbound 8/7\n3 3 11\n")
-        good = "candidate K2\nbound 1/1\n2 1 3\n0/1 0/1 0/1\n0/1 0/1 0/1\n"
-        with pytest.raises(ValueError, match="rows"):
-            ct.parse_certificate(good)  # truncated body
+        with pytest.raises(ValueError, match="^line 3: expected '2 1 3'"):
+            ct.parse_certificate("candidate K2\nbound 1/1\n")  # truncated header
         with pytest.raises(ValueError, match="line 1"):
             ct.parse_certificate("candidate \nbound 1/1\n2 1 3\n")
         with pytest.raises(ValueError, match="line 2"):
             ct.parse_certificate("candidate K2\nbound \n2 1 3\n")
+        with pytest.raises(ValueError, match=r"^line 1: unknown certificate base 'K9'"):
+            ct.parse_certificate("candidate K9\nbound 1/1\n2 1 3\n")
 
     @staticmethod
-    def k2(q_rows, t_row="1/1"):
-        return "candidate K2\nbound 1/1\n2 1 3\n" + "\n".join(q_rows) + f"\n{t_row}\n"
+    def k2(*entries):
+        return "candidate K2\nbound 1/1\n2 1 3\n" + "".join(e + "\n" for e in entries)
+
+    _ORDER = "Q lines come first, each matrix in increasing (r, s)"
+
+    @pytest.mark.parametrize("entries,err", [
+        (["Q 0 0"], "line 4: expected 'Q r s p/q' or 'T r s p/q'"),
+        (["Q 0 0 1/1 1/1"], "line 4: expected 'Q r s p/q' or 'T r s p/q'"),
+        (["Q 0 0 1/1", "R 1 1 1/1"], "line 5: expected 'Q r s p/q' or 'T r s p/q'"),
+        (["q 0 0 1/1"], "line 4: expected 'Q r s p/q' or 'T r s p/q'"),
+        (["T 0 0 1/1", "Q 0 0 1/1"], f"line 5: Q 0 0 comes after T 0 0; {_ORDER}"),
+        (["Q 0 1 1/1", "Q 0 1 1/1"], f"line 5: Q 0 1 comes after Q 0 1; {_ORDER}"),
+        (["Q 1 1 1/1", "Q 0 2 1/1"], f"line 5: Q 0 2 comes after Q 1 1; {_ORDER}"),
+        (["T 0 0 1/1", "T 0 0 2/1"], f"line 5: T 0 0 comes after T 0 0; {_ORDER}"),
+        (["Q 1 0 1/1"], "line 4: Q 1 0: need 0 <= r <= s < 3"),
+        (["Q 0 3 1/1"], "line 4: Q 0 3: need 0 <= r <= s < 3"),
+        (["Q 0 0 1/1", "T 0 1 1/1"], "line 5: T 0 1: need 0 <= r <= s < 1"),
+        (["Q -1 0 1/1"], "line 4: Q -1 0: need 0 <= r <= s < 3"),
+        (["Q 01 1 1/1"], "line 4: Q 01 1: need 0 <= r <= s < 3"),
+        (["Q 0 " + "9" * 600 + " 1/1"], f"line 4: Q 0 {'9' * 20}: need 0 <= r <= s < 3"),
+        (["Q 0 0 0/1"], "line 4: explicit zero; leave the entry out"),
+        (["Q 0 0 1/1", "Q 1 2 -0/3"], "line 5: explicit zero; leave the entry out"),
+        (["T 0 0 0.0e5"], "line 4: explicit zero; leave the entry out"),
+        (["Q 0 0 1/0"], "line 4: bad rational '1/0': zero denominator"),
+        (["Q 0 0 1e501"], "line 4: bad rational '1e501': exponent beyond 500 in absolute value"),
+    ], ids=["short", "long", "unknown_tag", "lowercase_tag", "t_before_q", "repeated",
+            "out_of_order", "repeated_t", "lower_triangle", "q_range", "t_range", "negative",
+            "leading_zero", "huge_index", "zero", "negative_zero", "decimal_zero",
+            "zero_denominator", "exponent"])
+    def test_entry_line_errors(self, entries, err):
+        with pytest.raises(ValueError) as e:
+            ct.parse_certificate(self.k2(*entries))
+        assert str(e.value) == err
+
+    @pytest.mark.parametrize("head", ["3 3 " + "1" + "0" * 600, "300 44850 13499850",
+                                      "2 1 3", "4 6 30"])
+    def test_header_checked_before_allocation(self, head):
+        # a header other than the named base's is refused before Q and T
+        # exist, whatever size it claims
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^line 3: expected '3 3 12'"):
+                ct.parse_certificate(f"candidate P3\nbound 8/7\n{head}\nQ 0 0 1/1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
 
     def test_zeros_are_the_shared_zero(self):
-        cert = ct.parse_certificate(self.k2(["0 -0/3 0.0e5", "-0/3 0 0/1", "0.0e5 0/1 0"], "0"))
-        assert all(x is exactq._ZERO for row in cert.Q + cert.T for x in row)
+        for text in (self.k2(), self.k2("Q 0 2 3/7")):
+            cert = ct.parse_certificate(text)
+            assert all(x is exactq._ZERO for row in cert.Q + cert.T for x in row if not x)
+        assert cert.Q[0][2] == cert.Q[2][0] == Fraction(3, 7)
 
     def test_repeated_tokens_parse_to_their_values(self):
-        cert = ct.parse_certificate(self.k2(["3/7 -2.5e-1 3/7", "-2.5e-1 3/7 3/7",
-                                             "3/7 3/7 -2.5e-1"], "3/7"))
-        a, b = Fraction(3, 7), Fraction(-1, 4)
-        assert cert.Q == ((a, b, a), (b, a, a), (a, a, b)) and cert.T == ((a,),)
+        cert = ct.parse_certificate(self.k2("Q 0 0 3/7", "Q 0 1 -2.5e-1", "Q 1 1 3/7",
+                                            "Q 2 2 -2.5e-1", "T 0 0 3/7"))
+        a, b, z = Fraction(3, 7), Fraction(-1, 4), Fraction(0)
+        assert cert.Q == ((a, b, z), (b, a, z), (z, z, b)) and cert.T == ((a,),)
+        # a mirror and equal tokens are one object
+        assert cert.Q[0][0] is cert.Q[1][1] is cert.T[0][0]
+        assert cert.Q[0][1] is cert.Q[1][0] is cert.Q[2][2]
 
     def test_bad_token_refused_on_its_line(self):
-        # "1_0/1" reads as 10 with Fraction() on Python >= 3.11; the map is
-        # keyed by the text, so "10/1" on an earlier line does not admit it
-        with pytest.raises(ValueError, match=r"line 5: bad rational '1_0/1'"):
-            ct.parse_certificate(self.k2(["10/1 0 0", "0 1_0/1 0", "0 0 0"]))
+        # "1_0/1" reads as 10 with Fraction() on Python >= 3.11; values are
+        # cached by their text, so "10/1" on an earlier line does not admit it
+        with pytest.raises(ValueError, match=r"^line 5: bad rational '1_0/1'$"):
+            ct.parse_certificate(self.k2("Q 0 0 10/1", "Q 1 1 1_0/1"))
         # the same bad token twice: refused where it first appears
-        with pytest.raises(ValueError, match=r"line 5: bad rational '1_0/1'"):
-            ct.parse_certificate(self.k2(["0 0 0", "0 1_0/1 0", "0 1_0/1 0"]))
-        with pytest.raises(ValueError, match=r"line 7: bad rational '1_0/1'"):
-            ct.parse_certificate(self.k2(["1 0 0", "0 0 0", "0 0 0"], "1_0/1"))
+        with pytest.raises(ValueError, match=r"^line 5: bad rational '1_0/1'$"):
+            ct.parse_certificate(self.k2("Q 0 0 1", "Q 1 1 1_0/1", "Q 2 2 1_0/1"))
+        with pytest.raises(ValueError, match=r"^line 5: bad rational '1_0/1'$"):
+            ct.parse_certificate(self.k2("Q 0 0 1", "T 0 0 1_0/1"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_and_dense_round_trips_agree(self, data):
+        # random symmetric rational Q and T on every base: the text format
+        # and the dense format 1 give equal certificates, and the text is
+        # the one file of its (Q, T)
+        name = data.draw(st.sampled_from(sorted(check.BASES)))
+        k = check.BASES[name][0]
+        m = k * (k - 1) // 2
+
+        def symmetric(n):
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            entries = data.draw(st.dictionaries(pairs, st.fractions(max_denominator=50),
+                                                max_size=40))
+            M = [[exactq._ZERO] * n for _ in range(n)]
+            for (r, s), x in entries.items():
+                M[r][s] = M[s][r] = x
+            return tuple(map(tuple, M))
+
+        cert = check.Certificate(name, data.draw(st.fractions(max_denominator=50)), k, m,
+                                 symmetric((k + 1) * m), symmetric(m))
+        text = ct.format_certificate(cert)
+        assert ct.parse_certificate(text) == cert
+        assert dense_parse_certificate(dense_format_certificate(cert)) == cert
+        assert ct.format_certificate(ct.parse_certificate(text)) == text
 
 
 class TestSoundness:

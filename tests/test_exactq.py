@@ -310,33 +310,38 @@ class TestSharedReader:
             exactq.nonzeros(M)
 
     @staticmethod
-    def both_readers(rows):
-        """Three 3-entry rows read as a matrix file and as a K2 certificate
-        body, both starting on line 4."""
-        matrix = "\n\n3\n" + "".join(r + "\n" for r in rows)
-        cert = "candidate K2\nbound 1/1\n2 1 3\n" + "".join(r + "\n" for r in rows) + "1/1\n"
+    def both_readers(row, entry):
+        """A matrix file of three 3-entry rows and a K2 certificate, the
+        one's second row and the other's second entry line on line 5."""
+        matrix = "\n\n3\n10/1 0 0\n" + row + "\n0 0 1\n"
+        cert = "candidate K2\nbound 1/1\n2 1 3\nQ 0 0 10/1\n" + entry + "\nT 0 0 1/1\n"
         return matrix, cert
 
-    @pytest.mark.parametrize("row,err", [
-        ("0 0", "line 5: expected 3 entries, got 2"),
-        ("0 1_0/1 0", "line 5: bad rational '1_0/1'"),
-        ("2_0/1 1_0/1 3_0/1", "line 5: bad rational '2_0/1'")],
+    # both readers name the line, and parse_rational's message on a bad token
+    @pytest.mark.parametrize("row,entry,err,cert_err", [
+        ("0 0", "Q 1 1", "line 5: expected 3 entries, got 2",
+         "line 5: expected 'Q r s p/q' or 'T r s p/q'"),
+        ("0 1_0/1 0", "Q 1 1 1_0/1", "line 5: bad rational '1_0/1'", None),
+        ("2_0/1 1_0/1 3_0/1", "Q 1 1 2_0/1", "line 5: bad rational '2_0/1'", None)],
         ids=["short_row", "grouped_digits", "first_bad_entry_named"])
-    def test_malformed_row_same_message_in_both_readers(self, row, err):
-        matrix, cert = self.both_readers(["10/1 0 0", row, "0 0 1"])
+    def test_malformed_row_same_message_in_both_readers(self, row, entry, err, cert_err):
+        matrix, cert = self.both_readers(row, entry)
         with pytest.raises(ValueError) as from_matrix:
             exactq.read_matrix_q(matrix)
         with pytest.raises(ValueError) as from_cert:
             check.parse_certificate(cert)
-        assert str(from_matrix.value) == str(from_cert.value) == err
+        assert str(from_matrix.value) == err
+        assert str(from_cert.value) == (cert_err or err)
 
     def test_zeros_shared_and_repeated_tokens_one_object(self):
-        matrix, cert = self.both_readers(["0 -0/3 3/7", "0.0e5 3/7 0", "3/7 0/1 -0"])
-        for M in (exactq.read_matrix_q(matrix), check.parse_certificate(cert).Q):
-            assert [M[i][j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2))] \
-                == [Fraction(0)] * 6
-            assert all(x is exactq._ZERO for row in M for x in row if not x)
-            assert M[0][2] == Fraction(3, 7) and M[0][2] is M[1][1] is M[2][0]
+        M = exactq.read_matrix_q("3\n0 -0/3 3/7\n0.0e5 3/7 0\n3/7 0/1 -0\n")
+        assert [M[i][j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2))] \
+            == [Fraction(0)] * 6
+        # a certificate lists no zero, and mirrors an entry as the same object
+        Q = check.parse_certificate("candidate K2\nbound 1/1\n2 1 3\nQ 0 2 3/7\nQ 1 1 3/7\n").Q
+        for A in (M, Q):
+            assert all(x is exactq._ZERO for row in A for x in row if not x)
+            assert A[0][2] == Fraction(3, 7) and A[0][2] is A[1][1] is A[2][0]
 
     def test_numbered_lines_skip_blank_lines(self):
         assert exactq.numbered_lines("\n a b \n\t\n \nc\n") == [(2, "a b"), (5, "c")]
