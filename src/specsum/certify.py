@@ -58,8 +58,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import check, compound, exactq, stepmodel
-from .check import (Certificate, IdentityReport, format_certificate,  # noqa: F401
-                    parse_certificate, verify_identity, verify_psd)
+from .check import (Certificate, format_certificate, parse_certificate,  # noqa: F401
+                    verify_identity, verify_psd)
 from .exactq import _ZERO, QMatrix
 from .stepmodel import CandidateGraph
 
@@ -175,12 +175,12 @@ def assemble(cand: CandidateGraph, c) -> SosProblem:
     R, R_f = [], np.zeros((k, m, m))
     for i in range(1, k + 1):
         Ri = {(r, r): c for r in range(m)}  # R_i - c*I is the x_i^2 right-hand side
-        for key, x in rhs[f"x_{i}^2"].items():
+        for key, x in rhs[i, i].items():
             Ri[key] = Ri[key] + x if key in Ri else x
         R.append(dense(Ri, R_f[i - 1]))
     F, F_dense = {}, np.zeros((dim, dim))
     for i, j in pairs:
-        F[(i, j)] = dense({key: x / 2 for key, x in rhs[f"x_{i}*x_{j}"].items()},
+        F[(i, j)] = dense({key: x / 2 for key, x in rhs[i, j].items()},
                           F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m])
     blocks = _sign_blocks(k, pairs)
     return SosProblem(candidate=cand, c=c, k=k, m=m, dim=dim, pairs=pairs,

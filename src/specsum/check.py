@@ -7,6 +7,8 @@ exact k-th additive compound and psi, the right-hand sides of the
 coefficient equations, and the two exact checks: the polynomial identity
 compared over Q, and PSD of Q by exact LDL^T (`exactq.ldl_psd_check`).
 See the `certify` module docstring for the identity and its equations.
+Equation (a, b), 0 <= a <= b <= k, is the coefficient of x_a x_b, x_0 = 1:
+blocks Q_ab and Q_ba feed it, and T feeds (0, 0) and each (i, i).
 
 The orthonormal basis of the antisymmetric subspace of R^n (x) R^n is
 (e_i (x) e_j - e_j (x) e_i)/sqrt(2) for i < j, ordered lexicographically by
@@ -28,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import exactq
 from .exactq import _ZERO, QMatrix
@@ -112,13 +115,13 @@ def psi(M) -> QMatrix:
 def coefficient_rhs(k: int, edges, c: Fraction, psi=psi) -> dict:
     """Right-hand sides of the coefficient equations of c*I - psi(M*(x)) for
     the base graph on k vertices with these edges (loops included, each as
-    (i, j) with i <= j): coefficient name -> {(r, s): nonzero value}.
+    (i, j) with i <= j): {(a, b): {(r, s): nonzero value}}, where (a, b) is
+    the coefficient of x_a x_b, 0 <= a <= b <= k and x_0 = 1.
 
-    x_i^2 gets -A_ii psi(E_ii) and x_i x_j gets -A_ij psi(E_ij + E_ji); the
-    constant gets c*I and x_i nothing. psi is called once per edge, on the
+    (0, 0) gets c*I and (0, i) nothing; (i, i) gets -A_ii psi(E_ii) and
+    (i, j) gets -A_ij psi(E_ij + E_ji). psi is called once per edge, on the
     exact matrix; a non-edge's right-hand side is empty.
     """
-    m = k * (k - 1) // 2
 
     def edge_term(i, j) -> dict:
         if (i, j) not in edges:
@@ -128,13 +131,16 @@ def coefficient_rhs(k: int, edges, c: Fraction, psi=psi) -> dict:
         return {(r, s): x for r, row in enumerate(exactq.nonzeros(psi(E)))
                 for s, x in row.items()}
 
-    rhs = {"1": {(r, r): c for r in range(m)} if c else {}}
-    for i in range(1, k + 1):
-        rhs[f"x_{i}"] = {}
-        rhs[f"x_{i}^2"] = edge_term(i, i)
-    for i, j in wedge_pairs(k):
-        rhs[f"x_{i}*x_{j}"] = edge_term(i, j)
-    return rhs
+    cI = {(r, r): c for r in range(k * (k - 1) // 2)} if c else {}
+    return {(a, b): edge_term(a, b) if a else {} if b else cI
+            for a, b in itertools.combinations_with_replacement(range(k + 1), 2)}
+
+
+def coefficient_name(a: int, b: int) -> str:
+    """How a violation report names the coefficient of x_a x_b (x_0 = 1)."""
+    if a == 0:
+        return f"x_{b}" if b else "1"
+    return f"x_{a}^2" if a == b else f"x_{a}*x_{b}"
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,7 @@ class Certificate:
     T: tuple
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     ok: bool
     violations: tuple  # (coefficient, row, col, got, want), all of them
     checked: int  # entries compared explicitly: the union of supports
@@ -158,18 +163,20 @@ def verify_identity(cert: Certificate) -> IdentityReport:
     """Exact coefficientwise comparison of both sides of the identity.
 
     Expands V(x)^T Q V(x) + (1-|x|^2) T and c*I - psi(M*(x)) as quadratic
-    matrix polynomials and compares the constant, x_i, x_i^2 and x_i x_j
-    coefficients over the rationals. Also checks exact symmetry of Q and T.
-    The right-hand sides are built from the named base at cert.c by
-    `coefficient_rhs`.
+    matrix polynomials and compares over the rationals the coefficient
+    (a, b) of x_a x_b, 0 <= a <= b <= k, x_0 = 1: entry (r, s) of block
+    Q_ab adds to entry (r, s) of coefficient (min(a, b), max(a, b)), and T
+    adds to (0, 0) and subtracts from every (i, i). The right-hand sides
+    are `coefficient_rhs` of the named base at cert.c. Also checks exact
+    symmetry of Q and T.
 
-    One pass collects the nonzeros of Q and T. Each equation, symmetry
-    included, is compared on the union of the supports of its two sides:
-    the nonzeros of the blocks of Q and T it reads and of its right-hand
-    side. Off that union every term on both sides is exactly 0, so the
-    check is complete; `checked` counts the entries on the unions.
-    Every violation is returned, at most one per entry compared, in the
-    order of a dense row-major scan.
+    One pass over the nonzeros of Q and T sums the left-hand sides. Each
+    equation, symmetry included, is compared on the union of the supports
+    of its two sides; off it every term is exactly 0, so the check is
+    complete, and `checked` counts the entries on the unions. Every
+    violation is returned, at most one per entry compared, in the order of
+    a dense row-major scan: symmetry, the constant, then for each i the x_i
+    and x_i^2 entries interleaved by (r, s), then each x_i x_j, i < j.
     """
     k, edges = base(cert.candidate)
     m, rhs = k * (k - 1) // 2, coefficient_rhs(k, edges, cert.c)
@@ -180,46 +187,36 @@ def verify_identity(cert: Certificate) -> IdentityReport:
     if len(Q) != dim or any(len(r) != dim for r in Q) or \
             len(T) != m or any(len(r) != m for r in T):
         return IdentityReport(False, (("shape", 0, 0, (len(Q), len(T)), (dim, m)),), 0)
-    q_nz = [(r, s) for r, row in enumerate(exactq.nonzeros(Q)) for s in row]
-    t_nz = {(r, s) for r, row in enumerate(exactq.nonzeros(T)) for s in row}
-    bad = []
-    checked = 0
+    q_nz, t_nz = exactq.nonzeros(Q), exactq.nonzeros(T)
+    bad, checked = [], 0
     for name, M, nz in (("sym(Q)", Q, q_nz), ("sym(T)", T, t_nz)):
-        keys = sorted({(min(r, s), max(r, s)) for r, s in nz if r != s})
+        keys = sorted({(min(r, s), max(r, s)) for r, row in enumerate(nz) for s in row if r != s})
         checked += len(keys)
         bad += [(name, r, s, M[r][s], M[s][r]) for r, s in keys if M[r][s] != M[s][r]]
-    blk: dict = {}
-    for t, u in q_nz:
-        blk.setdefault((t // m, u // m), set()).add((t % m, u % m))
-
-    def on(a, b) -> set:
-        return blk.get((a, b), set())
-
-    def check(name, keys, got) -> list:
-        nonlocal checked
-        want = rhs[name]
-        keys = sorted(keys | want.keys())
+    got = {key: {} for key in rhs}  # (a, b) -> {(r, s): left-hand side}
+    for t, row in enumerate(q_nz):
+        a, r = divmod(t, m)
+        for u, x in row.items():
+            b, s = divmod(u, m)
+            g, rs = got[(a, b) if a <= b else (b, a)], (r, s)
+            g[rs] = g[rs] + x if rs in g else x
+    for r, row in enumerate(t_nz):
+        for s, x in row.items():
+            rs = r, s
+            for i, y in enumerate([x] + [-x] * k):
+                g = got[i, i]
+                g[rs] = g[rs] + y if rs in g else y
+    found = []
+    for (a, b), want in rhs.items():
+        g = got[a, b]
+        keys = g.keys() | want.keys()
         checked += len(keys)
-        out = []
         for r, s in keys:
-            g, w = got(r, s), want.get((r, s), _ZERO)
-            if g != w:
-                out.append((name, r, s, g, w))
-        return out
-
-    bad += check("1", on(0, 0) | t_nz, lambda r, s: Q[r][s] + T[r][s])
-    for i in range(1, k + 1):
-        o = i * m
-        # a dense scan meets x_i and x_i^2 entry by entry
-        bad += sorted(check(f"x_{i}", on(0, i) | on(i, 0),
-                            lambda r, s: Q[r][o + s] + Q[o + r][s])
-                      + check(f"x_{i}^2", on(i, i) | t_nz,
-                              lambda r, s: Q[o + r][o + s] - T[r][s]),
-                      key=lambda v: v[1:3])
-    for i, j in wedge_pairs(k):
-        oi, oj = i * m, j * m
-        bad += check(f"x_{i}*x_{j}", on(i, j) | on(j, i),
-                     lambda r, s: Q[oi + r][oj + s] + Q[oj + r][oi + s])
+            x, w = g.get((r, s), _ZERO), want.get((r, s), _ZERO)
+            if x != w:
+                rank = (0, b, r, s, a) if a in (0, b) else (1, a, b, r, s)
+                found.append((rank, (coefficient_name(a, b), r, s, x, w)))
+    bad += [v for _, v in sorted(found)]
     return IdentityReport(ok=not bad, violations=tuple(bad), checked=checked)
 
 

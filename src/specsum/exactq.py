@@ -16,9 +16,8 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 QMatrix = list[list[Fraction]]
 
@@ -26,8 +25,7 @@ PSD = "PSD"
 NOT_PSD = "NOT_PSD"
 
 
-@dataclass(frozen=True)
-class PsdWitness:
+class PsdWitness(NamedTuple):
     """PSD: Q = sum_r d_r w_r w_r^T exactly with d_r > 0.
 
     NOT_PSD: counterexample z with z^T Q z = value, an exactly negative

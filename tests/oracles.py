@@ -567,6 +567,31 @@ def work_score(Q) -> int:
     return best
 
 
+def replace_entries(cert, Q=(), T=()):
+    """cert with Q[t][u] += d for each (t, u, d) in Q, and likewise T."""
+    out = {}
+    for key, edits in (("Q", Q), ("T", T)):
+        M = [list(row) for row in getattr(cert, key)]
+        for t, u, d in edits:
+            M[t][u] += d
+        out[key] = tuple(map(tuple, M))
+    return dataclasses.replace(cert, **out)
+
+
+def perturbed(cert):
+    """Q[0][0] moved by 1/10^6: the constant coefficient stops matching."""
+    return replace_entries(cert, Q=[(0, 0, Fraction(1, 10 ** 6))])
+
+
+def negdiag(cert):
+    """Q_00 - lam I, T + lam I and Q_ii + lam I: every coefficient equation
+    still holds, and a diagonal entry of Q_00 is -1."""
+    m = cert.m
+    lam = min(cert.Q[r][r] for r in range(m)) + 1
+    return replace_entries(cert, Q=[(t, t, -lam if t < m else lam) for t in range(len(cert.Q))],
+                           T=[(r, r, lam) for r in range(m)])
+
+
 def hostile_certificate(cert, seed: int = 0, digits: int = 240):
     """cert with every free parameter moved by +-1/N, a fresh random
     `digits`-digit N for each, and every dependent entry rebuilt: it passes

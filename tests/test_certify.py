@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import inspect
@@ -16,7 +15,8 @@ from specsum import check, cli, exactq, graphs, stepmodel
 from oracles import (additive_compound_pairs, dense_format_certificate,
                      dense_parse_certificate, dense_rationalize, dense_verify_identity,
                      eigh_clip_psd, eigvalsh_min, fraction_ldl_psd_check, hostile_certificate,
-                     one_pass_certify, spot_check_loop, work_score)
+                     negdiag, one_pass_certify, perturbed, replace_entries, spot_check_loop,
+                     work_score)
 
 C87 = Fraction(8, 7)
 
@@ -91,31 +91,6 @@ def problem(name, c):
     return ct.assemble(ct.cert_base(name), c)
 
 
-def replace_entries(cert, Q=(), T=()):
-    """cert with Q[t][u] += d for each (t, u, d) in Q, and likewise T."""
-    out = {}
-    for key, edits in (("Q", Q), ("T", T)):
-        M = [list(row) for row in getattr(cert, key)]
-        for t, u, d in edits:
-            M[t][u] += d
-        out[key] = tuple(map(tuple, M))
-    return dataclasses.replace(cert, **out)
-
-
-def perturbed(cert):
-    """Q[0][0] moved by 1/10^6: the constant coefficient stops matching."""
-    return replace_entries(cert, Q=[(0, 0, Fraction(1, 10 ** 6))])
-
-
-def negdiag(cert):
-    """Q_00 - lam I, T + lam I and Q_ii + lam I: every coefficient equation
-    still holds, and a diagonal entry of Q_00 is -1."""
-    m = cert.m
-    lam = min(cert.Q[r][r] for r in range(m)) + 1
-    return replace_entries(cert, Q=[(t, t, -lam if t < m else lam) for t in range(len(cert.Q))],
-                           T=[(r, r, lam) for r in range(m)])
-
-
 @pytest.fixture(scope="module")
 def p3_problem():
     return ct.assemble(ct.cert_base("P3"), C87)
@@ -177,17 +152,19 @@ class TestAssemble:
         def support(M):
             return {(r, s): x for r, row in enumerate(M) for s, x in enumerate(row) if x}
 
+        # (a, b) keys the coefficient of x_a x_b, x_0 = 1
         rhs = check.coefficient_rhs(p.k, p.candidate.graph.edges, C87)
-        assert rhs["1"] == support(cI)
+        assert sorted(rhs) == [(a, b) for a in range(p.k + 1) for b in range(a, p.k + 1)]
+        assert rhs[0, 0] == support(cI)
         for i in range(1, p.k + 1):
             sq = term(i, i)
-            assert rhs[f"x_{i}"] == {}
-            assert rhs[f"x_{i}^2"] == support(sq)
+            assert rhs[0, i] == {}
+            assert rhs[i, i] == support(sq)
             assert [list(row) for row in p.R[i - 1]] == \
                 [[a + b for a, b in zip(*rows)] for rows in zip(cI, sq)]
         for i, j in p.pairs:
             two_f = term(i, j)
-            assert rhs[f"x_{i}*x_{j}"] == support(two_f)
+            assert rhs[i, j] == support(two_f)
             assert [list(row) for row in p.F[(i, j)]] == [[x / 2 for x in row] for row in two_f]
 
 
@@ -401,7 +378,8 @@ class TestVerifyIdentity:
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(["P3", "P4", "H5"]),
-           kind=st.sampled_from(["q_entry", "q_pair", "t_entry", "off_block", "skew_0i"]),
+           kind=st.sampled_from(["q_entry", "q_pair", "t_entry", "off_block", "skew_0i",
+                                 "x_i_and_square"]),
            picks=st.tuples(*[st.integers(0, 10 ** 6)] * 3),
            delta=st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool))
     def test_mutations_match_dense_oracle(self, name, kind, picks, delta):
@@ -419,6 +397,14 @@ class TestVerifyIdentity:
             off = np.argwhere(~block_mask(p))
             t, u = off[t % len(off)].tolist()
             bad = replace_entries(cert, Q=[(t, u, delta)] + [(u, t, delta)] * (t != u))
+        elif kind == "x_i_and_square":
+            # (r, s) of Q_0i and of Q_ii, each with its mirror: x_i and x_i^2
+            # both fail at (r, s), and the report lists x_i first there
+            i, r, s = 1 + w % p.k, t % p.m, u % p.m
+            o = i * p.m
+            bad = replace_entries(cert, Q=[(r, o + s, delta), (o + s, r, delta),
+                                           (o + r, o + s, delta)]
+                                  + [(o + s, o + r, delta)] * (r != s))
         else:  # a skew pair of Q_0i with its mirror in Q_i0: the identity holds
             i, r, s = 1 + w % p.k, t % p.m, u % p.m
             o = i * p.m

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import specsum
-from specsum import check, cli, exactq, graphs, stepmodel
-from oracles import K722_SUM, PATH4_SUM
+from specsum import certify, check, cli, exactq, graphs, stepmodel
+from oracles import K722_SUM, PATH4_SUM, negdiag, perturbed
 
 
 def run(capsys, *argv):
@@ -645,14 +645,21 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 class TestImports:
-    def test_verify_loads_no_numpy(self, capsys, tmp_path):
-        cert = tmp_path / "p3.txt"
-        assert cli.main(["certify", "P3", "--out", str(cert)]) == 0
-        proc = run_python(
-            "import sys; from specsum.cli import main; code = main(['verify', %r]); "
-            "assert 'numpy' not in sys.modules, 'numpy loaded'; sys.exit(code)" % str(cert))
-        assert proc.returncode == 0, proc.stderr
-        assert "verdict: PASS" in proc.stdout
+    def test_verify_loads_no_numpy(self, tmp_path):
+        # every verdict, the failing ones included, is reached without numpy
+        cert = certify.certify(certify.cert_base("P3"), Fraction(8, 7)).certificate
+        for variant, code, lines in [
+                (None, 0, ["identity: PASS", "psd: PSD", "verdict: PASS"]),
+                (perturbed, 1, ["identity: FAIL", "psd: SKIPPED", "verdict: FAIL"]),
+                (negdiag, 1, ["identity: PASS", "psd: NOT_PSD", "verdict: FAIL"])]:
+            f = tmp_path / f"p3.{variant.__name__ if variant else 'pass'}.txt"
+            f.write_text(certify.format_certificate(cert if variant is None else variant(cert)))
+            # a failed assert would exit 1 as well, so the child prints what it saw
+            proc = run_python(
+                "import sys; from specsum.cli import main; code = main(['verify', %r]); "
+                "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)" % str(f))
+            assert proc.returncode == code, (f.name, proc.stderr)
+            assert {"numpy loaded: False", *lines} <= set(proc.stdout.splitlines()), f.name
 
     def test_compound_loads_no_numpy(self, tmp_path):
         f = tmp_path / "m.txt"
