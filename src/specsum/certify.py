@@ -60,7 +60,7 @@ import numpy as np
 from . import check, compound, exactq, stepmodel
 from .check import (Certificate, format_certificate, parse_certificate,  # noqa: F401
                     verify_identity, verify_psd)
-from .exactq import _ZERO, QMatrix
+from .exactq import _ZERO
 from .stepmodel import CandidateGraph
 
 #: a base of check.BASES as a graph, by name: the one lookup there is
@@ -83,8 +83,8 @@ class BlockLayout:
     off: np.ndarray  # entries in Q_ab, a != b (both >= 1: Q_0i is off the blocks)
     up: np.ndarray  # for each of off: the entry (a,r),(b,s) with a < b it equals by symmetry
     swap: np.ndarray  # for each of off: the entry (a,s),(b,r) paired with up
-    F_up: np.ndarray  # F_ab[r, s] at up
-    R_diag: np.ndarray  # (k, m): diagonals of R_i
+    F_up: np.ndarray  # the fixed part of Q_ab at up, as a float (SosProblem.fixed)
+    R_diag: np.ndarray  # (k, m): the fixed part of each Q_ii's diagonal, as floats
     skew: np.ndarray  # (4, n) rows t, u, t2, u2: the up entries with r < s and their pairs
 
 
@@ -96,8 +96,11 @@ class SosProblem:
     m: int
     dim: int
     pairs: tuple
-    R: tuple  # R_i = c*I - A_ii psi(E_ii), exact, i = 1..k
-    F: dict  # F[(i,j)] = -A_ij psi(E_ij + E_ji)/2, exact, i < j
+    #: the fixed part of every dependent block entry, exact, keyed (t, u) in
+    #: Q's coordinates: c + rhs[i, i] at every diagonal entry of Q_ii, and
+    #: rhs[i, j]/2 at each entry t < u of Q_ij (i < j) where it is nonzero
+    #: (rhs = check.coefficient_rhs); a non-edge adds no key
+    fixed: dict
     blocks: dict = field(repr=False)  # size -> (count, size) coordinates, see _sign_blocks
     layout: BlockLayout = field(repr=False)
 
@@ -119,9 +122,9 @@ def _sign_blocks(k: int, pairs) -> dict[int, np.ndarray]:
     return {s: np.array(gs, dtype=np.intp) for s, gs in sorted(by_size.items())}
 
 
-def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray,
-                  F_dense: np.ndarray) -> BlockLayout:
-    """F_dense holds F_ij at block (i, j), i < j, and 0 elsewhere."""
+def _block_layout(k: int, m: int, blocks: dict, fixed: dict) -> BlockLayout:
+    """The index arrays, and F_up and R_diag as the floats of fixed, whose
+    every key must be a block position."""
     dim = (k + 1) * m
     rows = np.concatenate([np.repeat(B, s, axis=1).ravel() for s, B in blocks.items()])
     cols = np.concatenate([np.tile(B, (1, s)).ravel() for s, B in blocks.items()])
@@ -135,66 +138,54 @@ def _block_layout(k: int, m: int, blocks: dict, R_f: np.ndarray,
     off = np.flatnonzero(a_r != a_c)
     up = np.where(a_r[off] < a_c[off], off, pos[cols[off], rows[off]])
     swap = pos[a_r[up] * m + s[up], a_c[up] * m + r[up]]
-    fixed = F_dense + F_dense.T
-    for i in range(1, k + 1):
-        fixed[i * m:(i + 1) * m, i * m:(i + 1) * m] = R_f[i - 1]
-    if (swap < 0).any() or fixed[pos < 0].any():
+    t, u = np.array(list(fixed), dtype=np.intp).T
+    at = pos[t, u]
+    if (swap < 0).any() or (at < 0).any():
         raise ArithmeticError("coefficient equations couple different sign blocks")
+    vals = np.zeros(rows.size)
+    vals[at] = [float(x) for x in fixed.values()]
     ups = np.flatnonzero((a_r < a_c) & (r < s))
     skew = np.stack([rows[ups], cols[ups], a_r[ups] * m + s[ups], a_c[ups] * m + r[ups]])
     idx = np.arange(dim).reshape(k + 1, m)
+    diag = pos[idx, idx]
     return BlockLayout(rows=rows, cols=cols, stacks=tuple(stacks), tr=pos[cols, rows],
-                       diag=pos[idx, idx], off=off, up=up, swap=swap,
-                       F_up=F_dense[rows[up], cols[up]],
-                       R_diag=np.ascontiguousarray(R_f.diagonal(axis1=1, axis2=2)),
-                       skew=skew)
+                       diag=diag, off=off, up=up, swap=swap, F_up=vals[up],
+                       R_diag=vals[diag[1:]], skew=skew)
 
 
 def assemble(cand: CandidateGraph, c) -> SosProblem:
     """Exact right-hand sides of the coefficient equations for a base graph
-    (check.coefficient_rhs, calling psi as compound.psi), R_i and F_ij from
-    them, and the sign blocks of Q. Fraction arithmetic touches only the
-    nonzero entries; a non-edge's F is the all-zero matrix."""
+    (check.coefficient_rhs, calling psi as compound.psi), the fixed part of
+    Q from them, and the sign blocks of Q. Fraction arithmetic touches only
+    the nonzero entries, and the fixed part is held once, sparse: see
+    SosProblem.fixed."""
     c = Fraction(c)
     k = cand.k
     if k < 2:
         raise ValueError("base graph needs at least 2 vertices")
     pairs = tuple(check.wedge_pairs(k))
     m = len(pairs)
-    dim = (k + 1) * m
     rhs = check.coefficient_rhs(k, cand.graph.edges, c, compound.psi)
-
-    def dense(entries: dict, out: np.ndarray) -> tuple:
-        """entries as an m x m matrix, 0 elsewhere; also written into out as floats."""
-        M = [[_ZERO] * m for _ in range(m)]
-        for (r, s), x in entries.items():
-            M[r][s] = x
-            out[r, s] = float(x)
-        return tuple(map(tuple, M))
-
-    R, R_f = [], np.zeros((k, m, m))
+    fixed = {}
     for i in range(1, k + 1):
-        Ri = {(r, r): c for r in range(m)}  # R_i - c*I is the x_i^2 right-hand side
-        for key, x in rhs[i, i].items():
-            Ri[key] = Ri[key] + x if key in Ri else x
-        R.append(dense(Ri, R_f[i - 1]))
-    F, F_dense = {}, np.zeros((dim, dim))
+        fixed.update(((i * m + r, i * m + r), c) for r in range(m))
+        for (r, s), x in rhs[i, i].items():
+            key = (i * m + r, i * m + s)
+            fixed[key] = fixed.get(key, _ZERO) + x
     for i, j in pairs:
-        F[(i, j)] = dense({key: x / 2 for key, x in rhs[i, j].items()},
-                          F_dense[i * m:(i + 1) * m, j * m:(j + 1) * m])
+        fixed.update(((i * m + r, j * m + s), x / 2) for (r, s), x in rhs[i, j].items())
     blocks = _sign_blocks(k, pairs)
-    return SosProblem(candidate=cand, c=c, k=k, m=m, dim=dim, pairs=pairs,
-                      R=tuple(R), F=F, blocks=blocks,
-                      layout=_block_layout(k, m, blocks, R_f, F_dense))
+    return SosProblem(candidate=cand, c=c, k=k, m=m, dim=(k + 1) * m, pairs=pairs,
+                      fixed=fixed, blocks=blocks, layout=_block_layout(k, m, blocks, fixed))
 
 
 def _project_affine(p: SosProblem, v: np.ndarray) -> np.ndarray:
     """Closed-form Frobenius projection of the block entries v onto the
     coefficient equations (within symmetric matrices). Q_00 and each Q_ii
     hold only their diagonal, and those average coordinate by coordinate:
-    S0 = (Q_00 + sum_i (R_i - Q_ii)) / (k+1), Q_ii = R_i - S0. An entry of
-    Q_ab, a < b, keeps its skew part against its pair (a,s),(b,r) on top of
-    F_ab; Q_ba mirrors it."""
+    S0 = (Q_00 + sum_i (R_i - Q_ii)) / (k+1), Q_ii = R_i - S0, with R_i
+    the fixed diagonal of Q_ii. An entry of Q_ab, a < b, keeps its skew part
+    against its pair (a,s),(b,r) on top of its fixed part; Q_ba mirrors it."""
     L = p.layout
     out = np.empty_like(v)
     S0 = v[L.diag[0]]
@@ -293,10 +284,6 @@ def sdp_solve(p: SosProblem, max_iter: int = 50000, tol: float = TOL) -> SolveRe
     return SolveResult(status, Q, it, aff, psd)
 
 
-def _freeze(M: QMatrix) -> tuple:
-    return tuple(tuple(row) for row in M)
-
-
 def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int) -> Certificate:
     """Round the free parameters to denominators <= max_den and reconstruct
     every dependent entry exactly from the coefficient equations.
@@ -305,14 +292,14 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int) -> Certificate:
     them, is exactly 0. Free: the diagonal of Q_00, and the skew parts of
     Q_ij (i < j), rounded on (r, s) with r < s and negated on (s, r); they
     are read from Q_num through the layout's index arrays, with the float
-    operations of (Q_num + Q_num^T)/2. Dependent:
-    Q_ii = R_i - Q_00, sym(Q_ij) = F_ij, T = c*I - Q_00. The output
-    therefore satisfies the polynomial identity over Q regardless of
+    operations of (Q_num + Q_num^T)/2. Dependent, with p.fixed read at the
+    upper entry: each diagonal entry of Q_ii is fixed - Q_00's, each entry
+    of Q_ij is fixed plus or minus its skew part, and T = c*I - Q_00. The
+    output therefore satisfies the polynomial identity over Q regardless of
     rounding quality; only PSD can fail.
     """
-    k, m = p.k, p.m
+    k, m, fixed = p.k, p.m, p.fixed
     Qn = np.asarray(Q_num, dtype=float)
-    d = Qn.diagonal()[:m]
     a, b, a2, b2 = p.layout.skew
     skew = ((Qn[a, b] + Qn[b, a]) / 2 - (Qn[a2, b2] + Qn[b2, a2]) / 2) / 2
 
@@ -321,21 +308,18 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int) -> Certificate:
 
     Q = [[_ZERO] * p.dim for _ in range(p.dim)]
     T = [[_ZERO] * m for _ in range(m)]
-    for r, x in enumerate(((d + d) / 2).tolist()):
+    for r, x in enumerate(Qn.diagonal()[:m].tolist()):
         q = Q[r][r] = approx(x)
         T[r][r] = p.c - q
-        for i in range(1, k + 1):
-            t = i * m + r
-            Q[t][t] = p.R[i - 1][r][r] - q
+        for t in range(m + r, p.dim, m):
+            Q[t][t] = fixed[t, t] - q
     # (i,r),(j,s) and (i,s),(j,r); i < j, r < s
     for t, u, t2, u2, x in zip(*p.layout.skew.tolist(), skew.tolist()):
         v = approx(x)
-        Fm = p.F[(t // m, u // m)]
-        r, s = t % m, u % m
-        Q[t][u] = Q[u][t] = Fm[r][s] + v
-        Q[t2][u2] = Q[u2][t2] = Fm[s][r] - v
+        Q[t][u] = Q[u][t] = fixed.get((t, u), _ZERO) + v
+        Q[t2][u2] = Q[u2][t2] = fixed.get((t2, u2), _ZERO) - v
     return Certificate(candidate=p.candidate.name, c=p.c, k=k, m=m,
-                       Q=_freeze(Q), T=_freeze(T))
+                       Q=tuple(map(tuple, Q)), T=tuple(map(tuple, T)))
 
 
 def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,

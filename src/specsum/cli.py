@@ -92,7 +92,7 @@ def cmd_search(n: int, mode: str) -> RunReport:
 def _parse_weights(text: str, k: int):
     import numpy as np
 
-    toks = [t for t in text.split(",") if t.strip()]
+    toks = text.split(",")
     if len(toks) != k:
         raise ValueError(f"expected {k} comma-separated weights, got {len(toks)}")
     try:

@@ -733,9 +733,10 @@ def dense_rationalize(p, Q_num, max_den: int):
         q = Q[r][r] = rational_approx(Qs[r][r], max_den)
         T[r][r] = p.c - q
         for i in range(1, k + 1):
-            Q[i * m + r][i * m + r] = p.R[i - 1][r][r] - q
+            Q[i * m + r][i * m + r] = p.fixed[i * m + r, i * m + r] - q
     for i, j in itertools.combinations(range(1, k + 1), 2):
-        F = p.F[(i, j)]
+        F = [[p.fixed.get((i * m + r, j * m + s), Fraction(0)) for s in range(m)]
+             for r in range(m)]
         for r, s in itertools.combinations(range(m), 2):
             t, u, t2, u2 = i * m + r, j * m + s, i * m + s, j * m + r
             if block_of[t] != block_of[u]:

@@ -108,29 +108,31 @@ class TestAssemble:
         p = ct.assemble(ct.cert_base("H6"), C87)
         assert (p.k, p.m, p.dim) == (6, 15, 105)
         assert len(p.pairs) == 15
-        assert len(p.R) == 6 and len(p.F) == 15
+        # every diagonal entry of Q_11..Q_66, and the nonzero halves of 9 edges
+        assert len(p.fixed) == 162
+        assert sum(t == u for t, u in p.fixed) == 90
+        assert all(p.m <= t <= u < p.dim for t, u in p.fixed)
 
     def test_k2_dimensions(self):
         p = ct.assemble(ct.cert_base("K2"), 1)
         assert (p.k, p.m, p.dim) == (2, 1, 3)
 
     def test_psi_e11_diagonal_structure(self):
-        # R_1 = c*I - psi(E_11): psi(E_11) is diagonal with 1 exactly at
-        # wedge pairs containing vertex 1
+        # the fixed part of Q_11 is c*I - psi(E_11): psi(E_11) is diagonal
+        # with 1 exactly at wedge pairs containing vertex 1
         p = ct.assemble(ct.cert_base("H6"), C87)
-        R1 = p.R[0]
+        Q11 = {(t - p.m, u - p.m): x for (t, u), x in p.fixed.items()
+               if p.m <= t < 2 * p.m and p.m <= u < 2 * p.m}
+        assert sorted(Q11) == [(a, a) for a in range(p.m)]
         for a, (i, j) in enumerate(p.pairs):
-            for b in range(p.m):
-                if a != b:
-                    assert R1[a][b] == 0
-            want = C87 - (1 if 1 in (i, j) else 0)
-            assert R1[a][a] == want
+            assert Q11[a, a] == C87 - (1 if 1 in (i, j) else 0)
 
     def test_off_diagonal_fixed_parts_vanish_on_non_edges(self):
         p = ct.assemble(ct.cert_base("P3"), C87)
-        # (1,3) is not an edge of the looped path
-        assert all(x == 0 for row in p.F[(1, 3)] for x in row)
-        assert any(x != 0 for row in p.F[(1, 2)] for x in row)
+        blocks = {(t // p.m, u // p.m) for t, u in p.fixed}
+        # (1,3) is not an edge of the looped path: it adds no key
+        assert (1, 3) not in blocks
+        assert (1, 2) in blocks
 
     def test_unknown_base(self):
         with pytest.raises(ValueError):
@@ -141,7 +143,8 @@ class TestAssemble:
         # the all-pairs oracle builds psi by another route
         p = ct.assemble(ct.cert_base(name), C87)
         A = p.candidate.graph.adjacency()
-        cI = [[C87 if r == s else 0 for s in range(p.m)] for r in range(p.m)]
+        m = p.m
+        cI = [[C87 if r == s else 0 for s in range(m)] for r in range(m)]
 
         def term(i, j):  # -A_ij psi(E_ij + E_ji), E_ii once for i = j
             E = [[Fraction(0)] * p.k for _ in range(p.k)]
@@ -156,16 +159,59 @@ class TestAssemble:
         rhs = check.coefficient_rhs(p.k, p.candidate.graph.edges, C87)
         assert sorted(rhs) == [(a, b) for a in range(p.k + 1) for b in range(a, p.k + 1)]
         assert rhs[0, 0] == support(cI)
+        want = {}
         for i in range(1, p.k + 1):
             sq = term(i, i)
             assert rhs[0, i] == {}
             assert rhs[i, i] == support(sq)
-            assert [list(row) for row in p.R[i - 1]] == \
-                [[a + b for a, b in zip(*rows)] for rows in zip(cI, sq)]
+            # c*I plus the term: every diagonal entry, and any nonzero off it
+            for r in range(m):
+                for s in range(m):
+                    if r == s or cI[r][s] + sq[r][s]:
+                        want[i * m + r, i * m + s] = cI[r][s] + sq[r][s]
         for i, j in p.pairs:
             two_f = term(i, j)
             assert rhs[i, j] == support(two_f)
-            assert [list(row) for row in p.F[(i, j)]] == [[x / 2 for x in row] for row in two_f]
+            want.update(((i * m + r, j * m + s), x / 2) for (r, s), x in support(two_f).items())
+        assert p.fixed == want
+
+    def test_couplings_across_sign_blocks_refused(self, monkeypatch):
+        # an x_1 x_3 entry on P3 (a non-edge): at (r, s) = (0, 0) it joins
+        # (1, (1,2)) and (3, (1,2)), of characters {2} and {1, 3}; at (0, 2)
+        # and its mirror (2, 0) it joins (1, (1,2)) and (3, (2,3)), both of
+        # character {2}, and (1, (2,3)) and (3, (1,2)), both of {1, 2, 3}
+        rhs = check.coefficient_rhs
+
+        def with_entries(*keys):
+            def patched(*args):
+                out = rhs(*args)
+                out[1, 3] = dict.fromkeys(keys, Fraction(1))
+                return out
+            return patched
+
+        monkeypatch.setattr(check, "coefficient_rhs", with_entries((0, 0)))
+        with pytest.raises(ArithmeticError, match="couple different sign blocks"):
+            ct.assemble(ct.cert_base("P3"), C87)
+        monkeypatch.setattr(check, "coefficient_rhs", with_entries((0, 2), (2, 0)))
+        p = ct.assemble(ct.cert_base("P3"), C87)
+        assert p.fixed[3, 11] == p.fixed[5, 9] == Fraction(1, 2)
+        assert ct.affine_residual(p, ct._project_affine(p, np.zeros(p.layout.rows.size))) < 1e-12
+
+    @pytest.mark.parametrize("c", [C87, Fraction(6, 5)])
+    @pytest.mark.parametrize("name", ["K2", "P3", "P4", "H5", "H6"])
+    def test_layout_floats_are_the_exact_fixed_parts(self, name, c):
+        # R_diag and F_up, bit for bit, from the right-hand sides directly
+        p = ct.assemble(ct.cert_base(name), c)
+        L, m = p.layout, p.m
+        rhs = check.coefficient_rhs(p.k, p.candidate.graph.edges, c)
+        R_diag = [[float(c + rhs[i, i].get((r, r), 0)) for r in range(m)]
+                  for i in range(1, p.k + 1)]
+        F_up = []
+        for t, u in zip(L.rows[L.up].tolist(), L.cols[L.up].tolist()):
+            (i, r), (j, s) = divmod(t, m), divmod(u, m)
+            F_up.append(float(rhs[i, j].get((r, s), Fraction(0)) / 2))
+        assert L.R_diag.tobytes() == np.array(R_diag).tobytes()
+        assert L.F_up.tobytes() == np.array(F_up, dtype=float).tobytes()
 
 
 class TestSignBlocks:

@@ -238,6 +238,11 @@ class TestOptimize:
             assert cli.main(["optimize", "P3", "--weights", f"{tok},0,0"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+        # an empty field is a field, not a separator to skip
+        for text in ("2/7,,3/7,2/7", "2/7,3/7,2/7,", ",2/7,3/7,2/7", "2/7, ,2/7"):
+            assert cli.main(["optimize", "P3", f"--weights={text}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestCertifyVerify:
