@@ -41,6 +41,8 @@ They do not rely on the blocks:
 the identity is compared entry by entry wherever either side of an
 equation is nonzero (everywhere else both sides are exactly 0), and the
 LDL^T splits Q only into the connected components of its nonzero pattern.
+A base is any `check.Base`, the value `stepmodel` takes too, so this
+module loads neither `stepmodel` nor `graphs`.
 
 Any certificate here is necessarily singular: at extremal unit x* (where
 lambda1 + lambda2 attains c) the top wedge vector w of psi(M*(x*)) gives
@@ -57,14 +59,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import check, compound, exactq, stepmodel
-from .check import (Certificate, format_certificate, parse_certificate,  # noqa: F401
+from . import check, compound, exactq
+from .check import (Base, Certificate, format_certificate, parse_certificate,  # noqa: F401
                     verify_identity, verify_psd)
 from .exactq import _ZERO
-from .stepmodel import CandidateGraph
 
-#: a base of check.BASES as a graph, by name: the one lookup there is
-cert_base = stepmodel.candidate
+#: the base `name` of check.BASES: check.base, the one lookup there is
+cert_base = check.base
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class SosProblem:
-    candidate: CandidateGraph
+    candidate: Base
     c: Fraction
     k: int
     m: int
@@ -153,19 +154,19 @@ def _block_layout(k: int, m: int, blocks: dict, fixed: dict) -> BlockLayout:
                        R_diag=vals[diag[1:]], skew=skew)
 
 
-def assemble(cand: CandidateGraph, c) -> SosProblem:
+def assemble(base: Base, c) -> SosProblem:
     """Exact right-hand sides of the coefficient equations for a base graph
     (check.coefficient_rhs, calling psi as compound.psi), the fixed part of
     Q from them, and the sign blocks of Q. Fraction arithmetic touches only
     the nonzero entries, and the fixed part is held once, sparse: see
     SosProblem.fixed."""
     c = Fraction(c)
-    k = cand.k
+    k = base.k
     if k < 2:
         raise ValueError("base graph needs at least 2 vertices")
     pairs = tuple(check.wedge_pairs(k))
     m = len(pairs)
-    rhs = check.coefficient_rhs(k, cand.graph.edges, c, compound.psi)
+    rhs = check.coefficient_rhs(k, base.edges, c, compound.psi)
     fixed = {}
     for i in range(1, k + 1):
         fixed.update(((i * m + r, i * m + r), c) for r in range(m))
@@ -175,7 +176,7 @@ def assemble(cand: CandidateGraph, c) -> SosProblem:
     for i, j in pairs:
         fixed.update(((i * m + r, j * m + s), x / 2) for (r, s), x in rhs[i, j].items())
     blocks = _sign_blocks(k, pairs)
-    return SosProblem(candidate=cand, c=c, k=k, m=m, dim=(k + 1) * m, pairs=pairs,
+    return SosProblem(candidate=base, c=c, k=k, m=m, dim=(k + 1) * m, pairs=pairs,
                       fixed=fixed, blocks=blocks, layout=_block_layout(k, m, blocks, fixed))
 
 
@@ -322,7 +323,7 @@ def rationalize(p: SosProblem, Q_num: np.ndarray, max_den: int) -> Certificate:
                        Q=tuple(map(tuple, Q)), T=tuple(map(tuple, T)))
 
 
-def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
+def soundness_spot_check(base: Base, c, samples: int = 1000,
                          seed: int = 0) -> float:
     """Min over random unit x of the least eigenvalue of c*I - psi(M*(x)).
 
@@ -332,7 +333,7 @@ def soundness_spot_check(base: CandidateGraph, c, samples: int = 1000,
     all samples are formed and eigensolved as one stack.
     """
     rng = np.random.default_rng(seed)
-    A = base.graph.adjacency()
+    A = compound.adjacency(base.k, base.edges)
     X = rng.standard_normal((samples, base.k))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     iu, ju = np.nonzero(np.triu(A))
@@ -392,7 +393,7 @@ def _walk(p: SosProblem, Q_num: np.ndarray, max_den: int, attempts: list) -> Cer
     return None
 
 
-def certify(cand: CandidateGraph, c, *, max_iter: int = 50000,
+def certify(base: Base, c, *, max_iter: int = 50000,
             max_den: int = 10 ** 4) -> CertifyResult:
     """assemble -> sdp_solve -> rationalize -> verify.
 
@@ -423,7 +424,7 @@ def certify(cand: CandidateGraph, c, *, max_iter: int = 50000,
         raise ValueError("max_iter must be >= 1")
     if abs(Fraction(c)) > MAX_BOUND:
         raise ValueError("bound must be at most 2^512 in absolute value")
-    p = assemble(cand, c)
+    p = assemble(base, c)
     attempts: list = []
     solve = sdp_solve(p, max_iter=max_iter, tol=ROUND_TOL)
     cert = _walk(p, solve.Q, max_den, attempts)

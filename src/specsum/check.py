@@ -36,26 +36,32 @@ from . import exactq
 from .exactq import _ZERO, QMatrix
 
 
-def _looped(k: int, edges) -> tuple:
-    return k, tuple(edges) + tuple((i, i) for i in range(1, k + 1))
+class Base(NamedTuple):
+    """A base graph: a name (only a label), k, and the edges with loops, i <= j."""
+    name: str
+    k: int
+    edges: tuple
 
 
-#: the step-model candidates: name -> (k, edges with loops)
-CANDIDATES: dict[str, tuple] = {
-    "P3": _looped(3, [(1, 2), (2, 3)]),
-    "P4": _looped(4, [(1, 2), (2, 3), (3, 4)]),
-    "H5": _looped(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]),
-    "H6": _looped(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
-                      (4, 6), (5, 6)]),
-}
-#: bases accepted by name in certificate files, the one table of base edge
-#: lists: the four candidates plus a 2-vertex looped edge whose certificate
-#: at c = 1 is trivial (Q = 0, T = [1])
-BASES: dict[str, tuple] = {**CANDIDATES, "K2": _looped(2, [(1, 2)])}
+def _looped(name: str, k: int, *edges) -> Base:
+    return Base(name, k, edges + tuple((i, i) for i in range(1, k + 1)))
 
 
-def base(name: str) -> tuple:
-    """(k, edges with loops) of a certificate base; ValueError if unknown."""
+#: the step-model candidates by name, each with a loop on every vertex
+CANDIDATES: dict[str, Base] = {b.name: b for b in (
+    _looped("P3", 3, (1, 2), (2, 3)),
+    _looped("P4", 4, (1, 2), (2, 3), (3, 4)),
+    _looped("H5", 5, (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)),
+    _looped("H6", 6, (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
+            (4, 6), (5, 6)))}
+#: bases accepted by name in certificate files, the one catalog of bases:
+#: the four candidates plus a 2-vertex looped edge whose certificate at
+#: c = 1 is trivial (Q = 0, T = [1])
+BASES: dict[str, Base] = {**CANDIDATES, "K2": _looped("K2", 2, (1, 2))}
+
+
+def base(name: str) -> Base:
+    """The catalog base `name`; ValueError if unknown."""
     try:
         return BASES[name]
     except KeyError:
@@ -178,7 +184,7 @@ def verify_identity(cert: Certificate) -> IdentityReport:
     a dense row-major scan: symmetry, the constant, then for each i the x_i
     and x_i^2 entries interleaved by (r, s), then each x_i x_j, i < j.
     """
-    k, edges = base(cert.candidate)
+    _, k, edges = base(cert.candidate)
     m, rhs = k * (k - 1) // 2, coefficient_rhs(k, edges, cert.c)
     dim = (k + 1) * m
     if cert.k != k or cert.m != m:
@@ -264,7 +270,7 @@ def parse_certificate(text: str) -> Certificate:
     if not l2.startswith("bound "):
         raise ValueError(f"line {n2}: expected 'bound p/q'")
     try:
-        k, _ = base(name)
+        k = base(name).k
     except ValueError as e:
         raise ValueError(f"line {n1}: {e}")
     try:

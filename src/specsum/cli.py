@@ -101,22 +101,28 @@ def _parse_weights(text: str, k: int):
         raise ValueError(f"weight too large for a float: {e}")
 
 
-def cmd_optimize(name: str, restarts: int = 200, seed: int = 0,
+def cmd_optimize(name: str, restarts: int | None = None, seed: int | None = None,
                  weights: str | None = None) -> RunReport:
     from . import stepmodel
 
     t0 = time.perf_counter()
-    cand = stepmodel.candidate(name)
+    base = check.base(name)
     if weights is None:
-        u, val = stepmodel.maximize_sigma(cand, restarts=restarts, seed=seed)
-        model = stepmodel.StepModel(cand, u)
+        restarts = 200 if restarts is None else restarts
+        seed = 0 if seed is None else seed
+        u, val = stepmodel.maximize_sigma(base, restarts=restarts, seed=seed)
+        model = stepmodel.StepModel(base, u)
+        cfg = (("restarts", str(restarts)), ("seed", str(seed)))
+    elif restarts is not None or seed is not None:
+        raise ValueError("--weights draws no random numbers: it takes no --restarts or --seed")
     else:
-        model = stepmodel.StepModel(cand, _parse_weights(weights, cand.k))
+        model = stepmodel.StepModel(base, _parse_weights(weights, base.k))
         u, val = model.u, stepmodel.sigma(model)
+        cfg = (("weights", weights),)
     se = stepmodel.step_eigs(model)
     resid = stepmodel.ellipse_residual(model)
     checks = stepmodel.adjacency_criterion_check(model)
-    twins = stepmodel.true_twin_check(cand.graph)
+    twins = stepmodel.true_twin_check(base.k, base.edges)
     results = [("candidate", name), ("sigma", _f(val)), ("u", _vec(u)),
                ("mu1", _f(se.mu1)), ("mu2", _f(se.mu2)),
                ("alpha", _vec(se.alpha)), ("beta", _vec(se.beta)),
@@ -131,10 +137,6 @@ def cmd_optimize(name: str, restarts: int = 200, seed: int = 0,
     for c in checks:
         rows.append(f"{c.i}-{c.j:<4} {c.kappa:>22.15g} {str(c.adjacent):>9} "
                     f"{str(c.consistent):>11}")
-    if weights is None:
-        cfg = (("restarts", str(restarts)), ("seed", str(seed)))
-    else:
-        cfg = (("weights", weights),)
     return RunReport("optimize", cfg, tuple(results),
                      time.perf_counter() - t0, human="\n".join(rows))
 
@@ -144,9 +146,8 @@ def cmd_certify(name: str, bound: str = "8/7", max_den: int = 10 ** 4,
     from . import certify as certify_mod
 
     t0 = time.perf_counter()
-    cand = certify_mod.cert_base(name)
     c = exactq.parse_rational(bound)
-    r = certify_mod.certify(cand, c, max_iter=max_iter, max_den=max_den)
+    r = certify_mod.certify(check.base(name), c, max_iter=max_iter, max_den=max_den)
     results = [("candidate", name), ("bound", exactq.format_rational(c)),
                ("status", r.status),
                ("sdp_status", r.solve.status),
@@ -242,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("optimize", help="maximize sigma over simplex weights")
     p.add_argument("candidate", choices=sorted(check.CANDIDATES))
-    p.add_argument("--restarts", type=int, default=200,
-                   help="Dirichlet probes scored besides the 1/14 grid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int,
+                   help="Dirichlet probes scored besides the 1/14 grid (default 200)")
+    p.add_argument("--seed", type=int, help="seed of the probes (default 0)")
     p.add_argument("--weights", default=None, metavar="W1,W2,...",
-                   help="evaluate at these weights (rationals or decimals) "
-                        "instead of optimizing")
+                   help="evaluate at these weights (rationals or decimals) instead "
+                        "of optimizing; no --restarts or --seed then")
     p.set_defaults(run=lambda a: cmd_optimize(a.candidate, restarts=a.restarts,
                                               seed=a.seed, weights=a.weights))
 

@@ -1,9 +1,9 @@
-"""psi for float input: the one float adapter of `check.psi`.
+"""Float adapters of `check`: psi on float input, and a base's adjacency.
 
 The exact compounds, psi among them, live in `check`, which also describes
-the wedge basis. This module lets the numpy side, the stacked soundness
-spot check in `certify`, call psi on a float ndarray; `assemble` calls it
-on exact input, which passes straight through.
+the wedge basis. The stacked soundness spot check in `certify` calls psi
+on a float ndarray here; `assemble` calls it on exact input, which passes
+straight through. `graphs.Graph.adjacency` calls `adjacency` as well.
 """
 
 from __future__ import annotations
@@ -29,3 +29,11 @@ def psi(M):
     if not np.all(np.isfinite(M)):
         raise ValueError("psi needs finite entries")
     return np.array(check.psi(M.tolist()), dtype=float)
+
+
+def adjacency(n: int, edges) -> np.ndarray:
+    """Float adjacency of the graph (n, edges) on vertices 1..n; a loop is a 1 on the diagonal."""
+    A = np.zeros((n, n))
+    for i, j in edges:
+        A[i - 1, j - 1] = A[j - 1, i - 1] = 1.0
+    return A

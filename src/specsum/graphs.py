@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import compound
 from .check import wedge_pairs
 from .exactq import numbered_lines, parse_int
 
@@ -44,11 +45,7 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(norm))
 
     def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            A[i - 1, j - 1] = 1.0
-            A[j - 1, i - 1] = 1.0
-        return A
+        return compound.adjacency(self.n, self.edges)
 
 
 def graph(n: int, edges=()) -> Graph:

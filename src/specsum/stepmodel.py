@@ -3,8 +3,8 @@ maximization over the weight simplex, and extremal diagnostics.
 
 A step model is a base graph on k looped vertices plus simplex weights u;
 its matrix is M*[i][j] = sqrt(u_i u_j) on edges (loops included) and 0
-elsewhere. sigma = lambda1(M*) + lambda2(M*). The bases are the edge lists
-of `check.BASES`, and `candidate` builds one as a graph. The four catalog
+elsewhere. sigma = lambda1(M*) + lambda2(M*). A base is a `check.Base`,
+and `candidate` is `check.base`, its lookup by name. The four catalog
 bases, `check.CANDIDATES` (P3, P4, H5 and H6), carry a loop on every vertex
 and are true-twin-free. The maximum of sigma over the simplex is 8/7 for
 every one of them; for P3 it is attained at u = (2/7, 3/7, 2/7), and the
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import check, numerics
-from .graphs import Graph, graph
+from . import check, compound, numerics
 
 SIMPLEX_TOL = 1e-12
 GRID_MESH = 14
@@ -32,25 +31,13 @@ KAPPA_TOL = 1e-8
 MAX_RESTARTS = 10 ** 5
 
 
-@dataclass(frozen=True)
-class CandidateGraph:
-    name: str
-    graph: Graph
-
-    @property
-    def k(self) -> int:
-        return self.graph.n
-
-
-def candidate(name: str) -> CandidateGraph:
-    """The base `name` of `check.BASES` as a graph, built on each call;
-    ValueError if unknown."""
-    return CandidateGraph(name, graph(*check.base(name)))
+#: the base `name` of `check.BASES`; ValueError if unknown
+candidate = check.base
 
 
 @dataclass(frozen=True)
 class StepModel:
-    candidate: CandidateGraph
+    candidate: check.Base
     u: np.ndarray
 
     def __post_init__(self):
@@ -93,7 +80,7 @@ def _weighted(A: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def weighted_matrix(model: StepModel) -> np.ndarray:
     """M* = D_u^{1/2} A D_u^{1/2}: sqrt(u_i u_j) on edges, loops included."""
-    return _weighted(model.candidate.graph.adjacency(), model.u)
+    return _weighted(compound.adjacency(model.candidate.k, model.candidate.edges), model.u)
 
 
 def sigma(model: StepModel) -> float:
@@ -118,7 +105,7 @@ def simplex_grid(k: int) -> np.ndarray:
     return (np.diff(cuts, axis=1) - 1) / GRID_MESH
 
 
-def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
+def maximize_sigma(base: check.Base, restarts: int = 200,
                    seed: int = 0) -> tuple[np.ndarray, float]:
     """Best (u*, sigma*) over the 1/14 simplex grid and `restarts`
     Dirichlet(1) probes drawn from `seed`.
@@ -134,14 +121,14 @@ def maximize_sigma(cand: CandidateGraph, restarts: int = 200,
         raise ValueError("restarts must be >= 1")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts {restarts} is above the limit {MAX_RESTARTS}")
-    A = cand.graph.adjacency()
-    grid = simplex_grid(cand.k)
+    A = compound.adjacency(base.k, base.edges)
+    grid = simplex_grid(base.k)
     grid_vals = _sigma_batch(A, grid)
     i = int(np.argmax(grid_vals))
     best_u, best_val = grid[i], float(grid_vals[i])
 
     rng = np.random.default_rng(seed)
-    probes = numerics.project_simplex(rng.dirichlet(np.ones(cand.k), size=restarts))
+    probes = numerics.project_simplex(rng.dirichlet(np.ones(base.k), size=restarts))
     vals = _sigma_batch(A, probes)
     j = int(np.argmax(vals))
     if vals[j] > best_val + 8 * np.finfo(float).eps * abs(best_val):
@@ -164,7 +151,7 @@ def step_eigs(model: StepModel) -> StepEigs:
     if len(support) < 2:
         raise ValueError("need at least 2 positive-weight blocks")
     idx = [i - 1 for i in support]
-    A = model.candidate.graph.adjacency()[np.ix_(idx, idx)]
+    A = compound.adjacency(model.candidate.k, model.candidate.edges)[np.ix_(idx, idx)]
     us = u[idx]
     w, V = np.linalg.eigh(_weighted(A, us))
     top = np.argsort(-w, kind="stable")[:2]
@@ -194,7 +181,7 @@ def adjacency_criterion_check(model: StepModel) -> list[PairCheck]:
     """kappa_ij = alpha_i alpha_j + beta_i beta_j for positive-weight block
     pairs (i <= j); an edge needs kappa >= -KAPPA_TOL, a non-edge <= KAPPA_TOL."""
     se = step_eigs(model)
-    edges = model.candidate.graph.edges
+    edges = model.candidate.edges
     out = []
     for a in range(len(se.support)):
         for b in range(a, len(se.support)):
@@ -208,8 +195,8 @@ def adjacency_criterion_check(model: StepModel) -> list[PairCheck]:
     return out
 
 
-def true_twin_check(G: Graph) -> list[tuple[int, int]]:
-    """Pairs of vertices with identical closed neighborhoods."""
-    closed = (G.adjacency() + np.eye(G.n)) > 0
-    return [(i, j) for i in range(1, G.n + 1) for j in range(i + 1, G.n + 1)
+def true_twin_check(n: int, edges) -> list[tuple[int, int]]:
+    """Pairs of vertices of the graph (n, edges) with identical closed neighborhoods."""
+    closed = (compound.adjacency(n, edges) + np.eye(n)) > 0
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
             if np.array_equal(closed[i - 1], closed[j - 1])]

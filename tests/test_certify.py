@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum import certify as ct
-from specsum import check, cli, exactq, graphs, stepmodel
-from oracles import (additive_compound_pairs, dense_format_certificate,
+from specsum import check, cli, compound, exactq, graphs, stepmodel
+from oracles import (additive_compound_pairs, base_adjacency, dense_format_certificate,
                      dense_parse_certificate, dense_rationalize, dense_verify_identity,
                      eigh_clip_psd, eigvalsh_min, fraction_ldl_psd_check, hostile_certificate,
                      negdiag, one_pass_certify, perturbed, replace_entries, spot_check_loop,
@@ -54,7 +54,7 @@ RUNGS = {("P3", C87): (7, 14), ("P4", C87): (7, 14, 21, 28, 42),
 ITERATIONS = {"P3": 61, "P4": 71, "H5": 83, "H6": 88}
 # a looped base on 4 vertices (edges 12 13 14 23 24, loops on 1, 3, 4)
 # whose point at ROUND_TOL rounds on no rung at 8/7: certify solves again to TOL
-FALLBACK = (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 1), (3, 3), (4, 4)))
+FALLBACK = check.Base("F4", 4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 1), (3, 3), (4, 4)))
 # a bound below MAX_BOUND whose H6 certificate is over exactq.MAX_WORK on every rung
 OVER_BUDGET_BOUND = Fraction(2 ** 500 * 10 ** 100 + 1, 10 ** 100)
 
@@ -142,7 +142,7 @@ class TestAssemble:
     def test_right_hand_sides_match_additive_compound(self, name):
         # the all-pairs oracle builds psi by another route
         p = ct.assemble(ct.cert_base(name), C87)
-        A = p.candidate.graph.adjacency()
+        A = base_adjacency(p.candidate)
         m = p.m
         cI = [[C87 if r == s else 0 for s in range(m)] for r in range(m)]
 
@@ -156,7 +156,7 @@ class TestAssemble:
             return {(r, s): x for r, row in enumerate(M) for s, x in enumerate(row) if x}
 
         # (a, b) keys the coefficient of x_a x_b, x_0 = 1
-        rhs = check.coefficient_rhs(p.k, p.candidate.graph.edges, C87)
+        rhs = check.coefficient_rhs(p.k, p.candidate.edges, C87)
         assert sorted(rhs) == [(a, b) for a in range(p.k + 1) for b in range(a, p.k + 1)]
         assert rhs[0, 0] == support(cI)
         want = {}
@@ -203,7 +203,7 @@ class TestAssemble:
         # R_diag and F_up, bit for bit, from the right-hand sides directly
         p = ct.assemble(ct.cert_base(name), c)
         L, m = p.layout, p.m
-        rhs = check.coefficient_rhs(p.k, p.candidate.graph.edges, c)
+        rhs = check.coefficient_rhs(p.k, p.candidate.edges, c)
         R_diag = [[float(c + rhs[i, i].get((r, r), 0)) for r in range(m)]
                   for i in range(1, p.k + 1)]
         F_up = []
@@ -756,9 +756,14 @@ class TestExactPsdOnTheLadder:
 
 class TestBaseTable:
     def test_one_table_for_candidates_and_certificate_bases(self):
-        assert ct.cert_base is stepmodel.candidate
-        for name, (k, edges) in check.BASES.items():
-            assert ct.cert_base(name) == stepmodel.CandidateGraph(name, graphs.graph(k, edges))
+        assert ct.cert_base is stepmodel.candidate is check.base
+        for name, (_, k, edges) in check.BASES.items():
+            assert type(check.BASES[name]) is check.Base
+            assert ct.cert_base(name) == check.Base(name, k, edges)
+            # as a graph: each edge in range and listed once, and one adjacency
+            assert graphs.graph(k, edges).edges == frozenset(edges)
+            assert len(set(edges)) == len(edges)
+            assert np.array_equal(compound.adjacency(k, edges), base_adjacency(check.base(name)))
         assert check.CANDIDATES == {name: check.BASES[name] for name in check.CANDIDATES}
         assert list(check.BASES) == ["P3", "P4", "H5", "H6", "K2"]
 
@@ -773,9 +778,9 @@ class TestBaseTable:
         # P3's edges under a new name: every lookup and `ssc certify` /
         # `ssc verify` take it from check.BASES, and its certificate is P3's
         # but for the name on line 1
-        monkeypatch.setitem(check.BASES, "Q3", check.BASES["P3"])
+        monkeypatch.setitem(check.BASES, "Q3", check.BASES["P3"]._replace(name="Q3"))
         for lookup in (stepmodel.candidate, ct.cert_base):
-            assert lookup("Q3") == stepmodel.CandidateGraph("Q3", ct.cert_base("P3").graph)
+            assert lookup("Q3") == check.Base("Q3", 3, ct.cert_base("P3").edges)
         f = tmp_path / "q3.txt"
         assert cli.main(["certify", "Q3", "--out", str(f)]) == 0
         assert cli.main(["verify", str(f)]) == 0
@@ -954,7 +959,7 @@ class TestCertificateIO:
         # and the dense format 1 give equal certificates, and the text is
         # the one file of its (Q, T)
         name = data.draw(st.sampled_from(sorted(check.BASES)))
-        k = check.BASES[name][0]
+        k = check.BASES[name].k
         m = k * (k - 1) // 2
 
         def symmetric(n):
@@ -993,7 +998,7 @@ class TestSoundness:
         from specsum import stepmodel
         rng = np.random.default_rng(1)
         cand = stepmodel.candidate("H6")
-        A = cand.graph.adjacency()
+        A = base_adjacency(cand)
         for _ in range(100):
             u = rng.dirichlet(np.ones(6))
             x = np.sqrt(u)

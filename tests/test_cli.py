@@ -243,6 +243,13 @@ class TestOptimize:
             assert cli.main(["optimize", "P3", f"--weights={text}"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        # fixed weights draw no random numbers: a restarts or seed with them
+        # is refused, not ignored
+        for extra in (["--restarts", "0"], ["--restarts", "40"], ["--seed", "1"],
+                      ["--seed", "0", "--restarts", "200"]):
+            assert cli.main(["optimize", "P3", "--weights", "2/7,3/7,2/7", *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestCertifyVerify:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from specsum import check, graphs, numerics, stepmodel
 from oracles import (P3_ALPHA, P3_BETA, P3_KAPPA, P3_MU, P3_SIGMA_STAR,
-                     P3_SPECTRUM, P3_U_STAR, complete_graph, eigh, fd_ascend,
-                     halving_ascend, step_eigs_via_eigh, top_two_sum)
+                     P3_SPECTRUM, P3_U_STAR, base_adjacency, complete_graph, eigh,
+                     fd_ascend, halving_ascend, step_eigs_via_eigh, top_two_sum)
 
 CANDIDATE_NAMES = ("P3", "P4", "H5", "H6")
 
@@ -20,13 +20,13 @@ def model(name, u):
 class TestCatalog:
     def test_all_candidates_fully_looped(self):
         for name in check.CANDIDATES:
-            G = stepmodel.candidate(name).graph
-            for v in range(1, G.n + 1):
-                assert (v, v) in G.edges, (name, v)
+            b = stepmodel.candidate(name)
+            for v in range(1, b.k + 1):
+                assert (v, v) in b.edges, (name, v)
 
     def test_edge_sets(self):
         def plain(cand):
-            return {e for e in cand.graph.edges if e[0] != e[1]}
+            return {e for e in cand.edges if e[0] != e[1]}
 
         assert plain(stepmodel.candidate("P3")) == {(1, 2), (2, 3)}
         assert plain(stepmodel.candidate("P4")) == {(1, 2), (2, 3), (3, 4)}
@@ -37,8 +37,8 @@ class TestCatalog:
                                                     (4, 5), (4, 6), (5, 6)}
 
     def test_h6_restricted_to_first_five_is_h5(self):
-        h6 = {e for e in stepmodel.candidate("H6").graph.edges if max(e) <= 5}
-        assert h6 == stepmodel.candidate("H5").graph.edges
+        h6 = {e for e in stepmodel.candidate("H6").edges if max(e) <= 5}
+        assert h6 == set(stepmodel.candidate("H5").edges)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -140,9 +140,8 @@ class TestMaximizeSigma:
     def test_probe_beats_grid_off_the_catalog(self):
         # loops on 1 and 2 only: the maximum lies off the 1/14 grid, and the
         # best of 200 probes beats the best grid point by about 3.7e-4
-        cand = stepmodel.CandidateGraph(
-            "off-grid", graphs.graph(3, [(1, 1), (2, 2), (1, 2), (2, 3)]))
-        A = cand.graph.adjacency()
+        cand = check.Base("off-grid", 3, ((1, 1), (2, 2), (1, 2), (2, 3)))
+        A = base_adjacency(cand)
         grid = stepmodel.simplex_grid(3)
         grid_best = stepmodel._sigma_batch(A, grid).max()
         assert abs(grid_best - 1.0662934) < 1e-7
@@ -172,7 +171,7 @@ class TestStackedAscent:
         # the oracle climbs from the same 200 Dirichlet draws that
         # maximize_sigma scores as probes at seed 7
         cand = stepmodel.candidate(name)
-        A = cand.graph.adjacency()
+        A = base_adjacency(cand)
         U0 = np.random.default_rng(7).dirichlet(np.ones(cand.k), size=200)
         rng = np.random.default_rng(1)
         oracle = np.array([fd_ascend(A, u0, rng, numerics.project_simplex)[1]
@@ -195,7 +194,8 @@ def ascent_starts(cand, kind, B, seed):
         U[np.arange(B), rng.integers(0, k, B)] += 0.1  # keep every row nonzero
         U /= U.sum(axis=1, keepdims=True)
     elif kind == "kinks":
-        edges = [e for e in cand.graph.edges if e[0] != e[1]]
+        # in the order of the base's graph's edge set, which the draws index
+        edges = [e for e in graphs.graph(k, cand.edges).edges if e[0] != e[1]]
         U = np.zeros((B, k))
         for r in range(B):
             i, j = edges[rng.integers(len(edges))]
@@ -212,7 +212,7 @@ class TestLineSearch:
         # B climbs with an Armijo line search reach maximize_sigma's sigma
         # with B probes, but never beat it by more than the tie rule
         cand = stepmodel.candidate(name)
-        A = cand.graph.adjacency()
+        A = base_adjacency(cand)
         U0 = ascent_starts(cand, kind, B, seed=B)
         if kind == "kinks":
             w = np.linalg.eigvalsh(A * np.sqrt(U0[:, None, :] * U0[:, :, None]))
@@ -288,7 +288,7 @@ class TestAgainstCheckedEigh:
         w, _ = eigh(stepmodel.weighted_matrix(m))
         assert stepmodel.sigma(m) == float(w[0] + w[1])
         se = stepmodel.step_eigs(m)
-        want = step_eigs_via_eigh(m.candidate.graph.adjacency(), m.u)
+        want = step_eigs_via_eigh(base_adjacency(m.candidate), m.u)
         got = (se.mu1, se.mu2, se.alpha, se.beta, se.support)
         assert all(same(g, x) for g, x in zip(got, want)), (got, want)
 
@@ -356,14 +356,16 @@ class TestAdjacencyCriterion:
 
 class TestTrueTwins:
     def test_knpq_parts_are_twin_classes(self):
-        twins = stepmodel.true_twin_check(graphs.knpq(7, 2, 2))
+        G = graphs.knpq(7, 2, 2)
+        twins = stepmodel.true_twin_check(G.n, G.edges)
         assert set(twins) == {(1, 2), (3, 4), (5, 6), (5, 7), (6, 7)}
 
     def test_path_has_none(self):
-        assert stepmodel.true_twin_check(graphs.graph(4, [(1, 2), (2, 3), (3, 4)])) == []
+        assert stepmodel.true_twin_check(4, [(1, 2), (2, 3), (3, 4)]) == []
 
     def test_complete_graph_all_pairs(self):
-        twins = stepmodel.true_twin_check(complete_graph(3))
+        G = complete_graph(3)
+        twins = stepmodel.true_twin_check(G.n, G.edges)
         assert set(twins) == {(1, 2), (1, 3), (2, 3)}
 
 
